@@ -1,8 +1,11 @@
 #include "serve/line_protocol.h"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdlib>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace tcf {
@@ -84,6 +87,61 @@ Status MakeStatus(Status::Code code, std::string msg) {
     default:
       return Status::Internal(std::move(msg));
   }
+}
+
+/// Length of std::to_chars's rendering of `v`, without rendering it.
+size_t DecimalDigits(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 10000; v /= 10000) n += 4;
+  return n + (v >= 10) + (v >= 100) + (v >= 1000);
+}
+
+/// Exact length of the EncodeTruss line for `truss`, newline excluded.
+size_t TrussLineSize(const ItemDictionary& dictionary,
+                     const PatternTruss& truss) {
+  // The two '|' plus one separator after every token; each non-empty
+  // list then gives back the separator its last token does not have.
+  size_t n = 2;
+  for (ItemId item : truss.pattern.items()) {
+    n += dictionary.Name(item).size() + 1;
+  }
+  for (VertexId v : truss.vertices) n += DecimalDigits(v) + 1;
+  for (const Edge& e : truss.edges) {
+    n += DecimalDigits(e.u) + DecimalDigits(e.v) + 2;
+  }
+  return n - !truss.pattern.empty() - !truss.vertices.empty() -
+         !truss.edges.empty();
+}
+
+/// Writes the EncodeTruss line for `truss` (no newline) at `p`, which
+/// must have TrussLineSize bytes before `end`; returns one past the last
+/// byte written.
+char* WriteTrussLine(const ItemDictionary& dictionary,
+                     const PatternTruss& truss, char* p, char* end) {
+  bool first = true;
+  for (ItemId item : truss.pattern.items()) {
+    if (!first) *p++ = ',';
+    const std::string& name = dictionary.Name(item);
+    p = std::copy(name.begin(), name.end(), p);
+    first = false;
+  }
+  *p++ = '|';
+  first = true;
+  for (VertexId v : truss.vertices) {
+    if (!first) *p++ = ' ';
+    p = std::to_chars(p, end, v).ptr;
+    first = false;
+  }
+  *p++ = '|';
+  first = true;
+  for (const Edge& e : truss.edges) {
+    if (!first) *p++ = ' ';
+    p = std::to_chars(p, end, e.u).ptr;
+    *p++ = '-';
+    p = std::to_chars(p, end, e.v).ptr;
+    first = false;
+  }
+  return p;
 }
 
 }  // namespace
@@ -310,30 +368,32 @@ StatusOr<ResponseHeader> ParseResponseHeader(std::string_view line) {
 
 std::string EncodeTruss(const ItemDictionary& dictionary,
                         const PatternTruss& truss) {
-  std::string out;
-  bool first = true;
-  for (ItemId item : truss.pattern.items()) {
-    if (!first) out += ',';
-    out += dictionary.Name(item);
-    first = false;
-  }
-  out += '|';
-  first = true;
-  for (VertexId v : truss.vertices) {
-    if (!first) out += ' ';
-    out += std::to_string(v);
-    first = false;
-  }
-  out += '|';
-  first = true;
-  for (const Edge& e : truss.edges) {
-    if (!first) out += ' ';
-    out += std::to_string(e.u);
-    out += '-';
-    out += std::to_string(e.v);
-    first = false;
-  }
+  std::string out(TrussLineSize(dictionary, truss), '\0');
+  WriteTrussLine(dictionary, truss, out.data(), out.data() + out.size());
   return out;
+}
+
+void AppendTrussesResponse(const ItemDictionary& dictionary,
+                           const std::vector<PatternTruss>& trusses,
+                           std::string* out) {
+  // Pass 1 counts the bytes, pass 2 writes them: one allocation however
+  // many trusses and vertex ids the answer holds.
+  const std::string header = EncodeOkHeader("TRUSSES", trusses.size());
+  size_t size = header.size() + 1;
+  for (const PatternTruss& truss : trusses) {
+    size += TrussLineSize(dictionary, truss) + 1;
+  }
+  const size_t start = out->size();
+  out->resize(start + size);
+  char* p = out->data() + start;
+  char* const end = p + size;
+  p = std::copy(header.begin(), header.end(), p);
+  *p++ = '\n';
+  for (const PatternTruss& truss : trusses) {
+    p = WriteTrussLine(dictionary, truss, p, end);
+    *p++ = '\n';
+  }
+  TCF_CHECK(p == end);
 }
 
 StatusOr<WireTruss> DecodeTruss(std::string_view line) {

@@ -148,11 +148,25 @@ struct WireTruss {
 std::string EncodeTruss(const ItemDictionary& dictionary,
                         const PatternTruss& truss);
 
+/// Appends a whole `TRUSSES` response to `*out`: the
+/// `TCF1 OK TRUSSES <n>` status line and one EncodeTruss line per
+/// truss, each newline-terminated. The reply is sized by a digit-count
+/// pass first and then written into one allocation, so appending to an
+/// empty string leaves it at exactly the reply's length. The one
+/// renderer of this wire shape: the query, BATCH and EXPLAIN paths all
+/// call it.
+void AppendTrussesResponse(const ItemDictionary& dictionary,
+                           const std::vector<PatternTruss>& trusses,
+                           std::string* out);
+
 /// Inverse of EncodeTruss. Errors carry 1-based column context.
 StatusOr<WireTruss> DecodeTruss(std::string_view line);
 
 /// Renders a ServeQuery back into the `alpha;item,item,...` line form
-/// (used by the network load generator to replay in-process workloads).
+/// (used by the network load generator to replay in-process workloads,
+/// and by the slow-query logs). %.17g keeps the alpha bit-exact, so a
+/// logged line pasted into `EXPLAIN` replays the identical quantized
+/// query.
 std::string EncodeQueryLine(const ItemDictionary& dictionary,
                             const ServeQuery& query);
 

@@ -7,6 +7,7 @@
 #include "core/cohesion.h"
 #include "core/tc_tree_io.h"
 #include "core/tcfi_format.h"
+#include "serve/line_protocol.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -177,20 +178,6 @@ void QueryService::AdmitDerivedSubsets(
   }
 }
 
-std::string QueryService::RenderQueryLine(const ServeQuery& query) const {
-  // Mirrors line_protocol's EncodeQueryLine (which lives above this
-  // layer): %.17g keeps the alpha bit-exact, so pasting the logged line
-  // into `EXPLAIN` replays the identical quantized query.
-  std::string out = StrFormat("%.17g;", query.alpha);
-  bool first = true;
-  for (ItemId item : query.items.items()) {
-    if (!first) out += ',';
-    out += dictionary_.Name(item);
-    first = false;
-  }
-  return out;
-}
-
 void QueryService::RecordTrace(const ServeQuery& query,
                                const QueryTrace& trace) {
   query_total_us_.Record(trace.total_us);
@@ -204,7 +191,8 @@ void QueryService::RecordTrace(const ServeQuery& query,
   }
   if (slow_log_.Qualifies(trace.total_us)) {
     slow_queries_total_.Increment();
-    slow_log_.Record(RenderQueryLine(query), trace);
+    // Paid only for queries that already crossed the threshold.
+    slow_log_.Record(EncodeQueryLine(dictionary_, query), trace);
   }
 }
 

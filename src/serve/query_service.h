@@ -217,11 +217,6 @@ class QueryService : public QueryBackend {
                            const Result& result, uint64_t epoch_seen,
                            const std::shared_ptr<const TcTreeSnapshot>& snap);
 
-  /// Renders the query back into its `alpha;item,...` wire form for the
-  /// slow-query ring (paid only for queries that already crossed the
-  /// threshold).
-  std::string RenderQueryLine(const ServeQuery& query) const;
-
   /// Folds one finished traced query into the registry histograms and,
   /// when slow enough, the ring.
   void RecordTrace(const ServeQuery& query, const QueryTrace& trace);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/tcfi_format.h"
+#include "serve/line_protocol.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -490,18 +491,6 @@ ServeReport ShardedQueryService::Report() const {
   return report;
 }
 
-std::string ShardedQueryService::RenderQueryLine(
-    const ServeQuery& query) const {
-  std::string out = StrFormat("%.17g;", query.alpha);
-  bool first = true;
-  for (ItemId item : query.items.items()) {
-    if (!first) out += ',';
-    out += dictionary_.Name(item);
-    first = false;
-  }
-  return out;
-}
-
 void ShardedQueryService::RecordTrace(const ServeQuery& query,
                                       const QueryTrace& trace) {
   query_total_us_.Record(trace.total_us);
@@ -512,7 +501,7 @@ void ShardedQueryService::RecordTrace(const ServeQuery& query,
   }
   if (slow_log_.Qualifies(trace.total_us)) {
     slow_queries_total_.Increment();
-    slow_log_.Record(RenderQueryLine(query), trace);
+    slow_log_.Record(EncodeQueryLine(dictionary_, query), trace);
   }
 }
 

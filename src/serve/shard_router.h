@@ -189,7 +189,6 @@ class ShardedQueryService : public QueryBackend {
   /// Trace sampling, as in QueryService::ShouldTrace.
   bool ShouldTrace();
 
-  std::string RenderQueryLine(const ServeQuery& query) const;
   void RecordTrace(const ServeQuery& query, const QueryTrace& trace);
 
   // The registry is declared first (destroyed last): its callback

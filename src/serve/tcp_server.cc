@@ -83,6 +83,18 @@ bool RateLimitExempt(Request::Kind kind) {
          kind == Request::Kind::kStats || kind == Request::Kind::kMetrics;
 }
 
+/// Moves `from` onto the end of `to` and leaves `from` empty. An empty
+/// `to` takes the buffer by swap, so a reply is never copied on its way
+/// to the socket while the hop ahead of it has drained.
+void AppendOrTake(std::string& to, std::string& from) {
+  if (to.empty()) {
+    to.swap(from);
+  } else {
+    to += from;
+  }
+  from.clear();
+}
+
 }  // namespace
 
 TcpServer::TcpServer(QueryBackend& service, const TcpServerOptions& options)
@@ -522,7 +534,7 @@ void TcpServer::DispatchIfReady(Conn& conn) {
   // compute more for it. Queued units wait; FlushWrites re-dispatches
   // once the buffer drains. (0 = unlimited.)
   if (options_.max_write_buffer > 0 &&
-      conn.out.size() >= options_.max_write_buffer) {
+      conn.unsent() >= options_.max_write_buffer) {
     return;
   }
   // Take the next run of framed requests: one task executes them in
@@ -578,11 +590,13 @@ void TcpServer::ExecuteUnits(Conn* conn, std::vector<Unit> units) {
       response = HandleRequest(*unit.request, &quit);
     }
     service_.stats().RecordNetworkBytes(unit.wire_bytes, response.size());
-    responses += response;
+    // One unit per run is the usual case: its reply is handed on, not
+    // copied, here and at each hop to the socket.
+    AppendOrTake(responses, response);
   }
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    conn->outbox += responses;
+    AppendOrTake(conn->outbox, responses);
     conn->worker_quit = conn->worker_quit || quit;
   }
   {
@@ -606,8 +620,11 @@ void TcpServer::ProcessCompletions() {
     Conn& conn = *it->second;
     {
       std::lock_guard<std::mutex> lock(conn.mu);
-      conn.out += conn.outbox;
-      conn.outbox.clear();
+      // Drop the sent prefix (FlushWrites only advances past it); a
+      // drained buffer is empty and takes the outbox whole.
+      conn.out.erase(0, conn.out_sent);
+      conn.out_sent = 0;
+      AppendOrTake(conn.out, conn.outbox);
       conn.quitting = conn.quitting || conn.worker_quit;
     }
     conn.busy = false;
@@ -624,37 +641,44 @@ void TcpServer::ProcessCompletions() {
 }
 
 void TcpServer::FlushWrites(Conn& conn) {
-  while (!conn.out.empty()) {
+  while (conn.unsent() > 0) {
     // Simulated EAGAIN (docs/robustness.md): bytes stay buffered, the
     // backpressure machinery below runs, EPOLLOUT re-arms, and the next
     // writable event retries — the stream is never corrupted. (An
     // `always` trigger would starve writes forever; chaos tests use
     // prob:/times:.)
     if (TCF_FAILPOINT("net.write.eagain")) break;
-    const ssize_t n =
-        ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_sent,
+                             conn.unsent(), MSG_NOSIGNAL);
     if (n > 0) {
-      conn.out.erase(0, static_cast<size_t>(n));
+      // Advance past the sent bytes; nothing is moved or erased here.
+      conn.out_sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // Peer vanished mid-response: everything pending is undeliverable.
-    conn.out.clear();
+    conn.out_sent = conn.out.size();
     conn.read_closed = true;
     break;
   }
-  // Backpressure state machine: pause reads above the high-water mark
-  // and resume them below half of it. Dispatch must be re-attempted on
-  // *every* drain below the mark — not just on unpause — because the
-  // gate in DispatchIfReady may have deferred units while the buffer
-  // was momentarily full even though reads never paused.
+  if (conn.unsent() == 0) {
+    // Drained: free the buffer rather than keep a reply-sized
+    // allocation on a connection that may now idle for hours.
+    std::string().swap(conn.out);
+    conn.out_sent = 0;
+  }
+  // Backpressure state machine, on the unsent bytes: pause reads above
+  // the high-water mark and resume them below half of it. Dispatch must
+  // be re-attempted on *every* drain below the mark — not just on
+  // unpause — because the gate in DispatchIfReady may have deferred
+  // units while the buffer was momentarily full even though reads
+  // never paused.
   if (options_.max_write_buffer > 0 &&
-      conn.out.size() >= options_.max_write_buffer) {
+      conn.unsent() >= options_.max_write_buffer) {
     conn.paused_read = true;
   } else {
-    if (conn.paused_read &&
-        conn.out.size() < options_.max_write_buffer / 2) {
+    if (conn.paused_read && conn.unsent() < options_.max_write_buffer / 2) {
       conn.paused_read = false;
       FrameRequests(conn);  // input framed but parked while paused
     }
@@ -666,7 +690,7 @@ void TcpServer::FlushWrites(Conn& conn) {
 void TcpServer::UpdateInterest(Conn& conn) {
   const uint32_t want =
       (conn.paused_read ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-      (conn.out.empty() ? 0u : static_cast<uint32_t>(EPOLLOUT));
+      (conn.unsent() == 0 ? 0u : static_cast<uint32_t>(EPOLLOUT));
   if (want == conn.interest) return;
   conn.interest = want;
   epoll_event ev{};
@@ -676,7 +700,7 @@ void TcpServer::UpdateInterest(Conn& conn) {
 }
 
 bool TcpServer::Drained(const Conn& conn) const {
-  return !conn.busy && conn.queued.empty() && conn.out.empty();
+  return !conn.busy && conn.queued.empty() && conn.unsent() == 0;
 }
 
 void TcpServer::CloseConn(Conn& conn) {
@@ -839,12 +863,7 @@ std::string TcpServer::HandleQuery(const Request& request) {
   }
 
   WallTimer serialize_timer;
-  response = EncodeOkHeader("TRUSSES", result->trusses.size());
-  response += '\n';
-  for (const PatternTruss& truss : result->trusses) {
-    response += EncodeTruss(service_.dictionary(), truss);
-    response += '\n';
-  }
+  AppendTrussesResponse(service_.dictionary(), result->trusses, &response);
   if (traced) serialize_us_.Record(serialize_timer.Micros());
   return response;
 }
@@ -887,12 +906,8 @@ std::string TcpServer::HandleExplain(const Request& request) {
     }
 
     StageSpan serialize(&trace, QueryStage::kSerialize);
-    std::string discarded = EncodeOkHeader("TRUSSES", result->trusses.size());
-    discarded += '\n';
-    for (const PatternTruss& truss : result->trusses) {
-      discarded += EncodeTruss(service_.dictionary(), truss);
-      discarded += '\n';
-    }
+    std::string discarded;
+    AppendTrussesResponse(service_.dictionary(), result->trusses, &discarded);
     serialize.Stop();
     if (service_.tracing_enabled()) {
       parse_us_.Record(
@@ -1026,12 +1041,7 @@ std::string TcpServer::HandleBatch(const Request& header,
       response += '\n';
       continue;
     }
-    response += EncodeOkHeader("TRUSSES", result->trusses.size());
-    response += '\n';
-    for (const PatternTruss& truss : result->trusses) {
-      response += EncodeTruss(service_.dictionary(), truss);
-      response += '\n';
-    }
+    AppendTrussesResponse(service_.dictionary(), result->trusses, &response);
   }
   return response;
 }

@@ -182,7 +182,9 @@ class TcpServer {
     std::vector<std::string> batch_lines;
     size_t batch_bytes = 0;
 
-    std::string out;          // bytes awaiting write to the socket
+    std::string out;          // bytes for the socket; [0, out_sent) sent,
+                              // the buffer freed once all of it is
+    size_t out_sent = 0;      // FlushWrites advances this, never erases
     uint32_t interest = 0;    // epoll mask currently registered
     bool paused_read = false; // EPOLLIN dropped: write buffer over the
                               // high-water mark (backpressure)
@@ -193,6 +195,10 @@ class TcpServer {
     std::mutex mu;            // guards the two fields below
     std::string outbox;       // responses produced by the worker
     bool worker_quit = false; // the worker executed a QUIT
+
+    /// Bytes queued for the socket and not yet sent: what backpressure
+    /// and EPOLLOUT interest are based on.
+    size_t unsent() const { return out.size() - out_sent; }
   };
 
   void EventLoop();
@@ -210,6 +216,9 @@ class TcpServer {
   /// Drains the completion queue: moves outboxes into write buffers,
   /// clears busy flags, re-dispatches, flushes.
   void ProcessCompletions();
+  /// Sends unsent bytes until the socket would block (freeing the
+  /// buffer once it drains), then applies the backpressure policy and
+  /// re-arms epoll interest.
   void FlushWrites(Conn& conn);
   /// Reconciles the epoll interest mask with the connection's state:
   /// EPOLLOUT while bytes are pending, EPOLLIN unless backpressure has

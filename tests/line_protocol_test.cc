@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/tc_tree.h"
 #include "core/tc_tree_query.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace tcf {
 namespace {
@@ -284,6 +290,248 @@ TEST(LineProtocolTest, DecodeTrussMalformedTable) {
     EXPECT_NE(decoded.status().message().find("col "), std::string::npos)
         << "'" << line << "' error lacks column context";
   }
+}
+
+// -------------------------------------------------- TRUSSES response writer
+
+/// The byte-exact reference for one truss line, in its plainest form: a
+/// string per truss, a std::to_string temporary per id. The server and
+/// every bench oracle render through the writer under test, so only
+/// this independent renderer can see a byte drift.
+std::string ReferenceEncodeTruss(const ItemDictionary& dictionary,
+                                 const PatternTruss& truss) {
+  std::string out;
+  bool first = true;
+  for (ItemId item : truss.pattern.items()) {
+    if (!first) out += ',';
+    out += dictionary.Name(item);
+    first = false;
+  }
+  out += '|';
+  first = true;
+  for (VertexId v : truss.vertices) {
+    if (!first) out += ' ';
+    out += std::to_string(v);
+    first = false;
+  }
+  out += '|';
+  first = true;
+  for (const Edge& e : truss.edges) {
+    if (!first) out += ' ';
+    out += std::to_string(e.u);
+    out += '-';
+    out += std::to_string(e.v);
+    first = false;
+  }
+  return out;
+}
+
+std::string ReferenceTrussesResponse(const ItemDictionary& dictionary,
+                                     const std::vector<PatternTruss>& trusses) {
+  std::string out = EncodeOkHeader("TRUSSES", trusses.size());
+  out += '\n';
+  for (const PatternTruss& truss : trusses) {
+    out += ReferenceEncodeTruss(dictionary, truss);
+    out += '\n';
+  }
+  return out;
+}
+
+/// The writer against the reference on `trusses`: the whole response,
+/// header included, into an empty buffer and behind existing bytes;
+/// EncodeTruss per truss; and every payload line back through
+/// DecodeTruss.
+void ExpectWriterMatchesReference(const ItemDictionary& dictionary,
+                                  const std::vector<PatternTruss>& trusses,
+                                  const std::string& context) {
+  SCOPED_TRACE(context);
+  const std::string want = ReferenceTrussesResponse(dictionary, trusses);
+
+  std::string got;
+  AppendTrussesResponse(dictionary, trusses, &got);
+  ASSERT_EQ(got, want);
+#if defined(__GLIBCXX__)
+  // One exact allocation: libstdc++ gives a fresh string exactly what
+  // one resize asks for once that is past twice the inline capacity.
+  if (got.size() > 30) {
+    EXPECT_EQ(got.capacity(), got.size());
+  }
+#endif
+
+  std::string appended = "TCF1 OK PONG 0\n";
+  AppendTrussesResponse(dictionary, trusses, &appended);
+  EXPECT_EQ(appended, "TCF1 OK PONG 0\n" + want);
+
+  std::vector<std::string> lines = Split(got, '\n');
+  ASSERT_EQ(lines.size(), trusses.size() + 2);  // header + payload + tail
+  EXPECT_TRUE(lines.back().empty());
+  auto header = ParseResponseHeader(lines[0]);
+  ASSERT_TRUE(header.ok()) << header.status();
+  EXPECT_EQ(header->kind, "TRUSSES");
+  EXPECT_EQ(header->payload_lines, trusses.size());
+  for (size_t i = 0; i < trusses.size(); ++i) {
+    const PatternTruss& truss = trusses[i];
+    EXPECT_EQ(EncodeTruss(dictionary, truss),
+              ReferenceEncodeTruss(dictionary, truss));
+    auto decoded = DecodeTruss(lines[i + 1]);
+    ASSERT_TRUE(decoded.ok()) << lines[i + 1] << ": " << decoded.status();
+    ASSERT_EQ(decoded->pattern.size(), truss.pattern.size());
+    for (size_t j = 0; j < truss.pattern.size(); ++j) {
+      EXPECT_EQ(decoded->pattern[j],
+                dictionary.Name(truss.pattern.items()[j]));
+    }
+    EXPECT_EQ(decoded->vertices, truss.vertices);
+    EXPECT_EQ(decoded->edges, truss.edges);
+  }
+}
+
+TEST(LineProtocolTest, TrussesWriterMatchesReferenceAtDigitBoundaries) {
+  ItemDictionary dictionary;
+  const ItemId a = dictionary.GetOrAdd("a");
+  const ItemId b = dictionary.GetOrAdd("b");
+  const ItemId long1 = dictionary.GetOrAdd(std::string(300, 'x') + "_1");
+  const ItemId long2 = dictionary.GetOrAdd("Ristorante_" +
+                                           std::string(120, 'y') + "-" +
+                                           std::to_string(99999));
+
+  // 0, 9, 10, 99, 100, ... every 10^k - 1 and 10^k a VertexId can hold,
+  // then the largest id below the kInvalidVertex sentinel.
+  std::vector<VertexId> ids = {0};
+  for (uint64_t p = 10; p < kInvalidVertex; p *= 10) {
+    ids.push_back(static_cast<VertexId>(p - 1));
+    ids.push_back(static_cast<VertexId>(p));
+  }
+  ids.push_back(kInvalidVertex - 1);
+  ASSERT_EQ(ids.back(), 4294967294u);
+
+  std::vector<Edge> edges;
+  for (size_t i = 0; i + 1 < ids.size(); ++i) {
+    edges.push_back({ids[i], ids[i + 1]});
+    edges.push_back({ids[i], ids.back()});
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+  auto make = [](Itemset pattern, std::vector<VertexId> vertices,
+                 std::vector<Edge> edge_list) {
+    PatternTruss t;
+    t.pattern = std::move(pattern);
+    t.vertices = std::move(vertices);
+    t.edges = std::move(edge_list);
+    return t;
+  };
+
+  // Each id alone, as a vertex and as both ends of an edge.
+  for (VertexId v : ids) {
+    const VertexId next = v == ids.back() ? 0 : v + 1;
+    ExpectWriterMatchesReference(
+        dictionary,
+        {make(Itemset{a}, {v}, {{std::min(v, next), std::max(v, next)}})},
+        "id " + std::to_string(v));
+  }
+
+  const std::vector<PatternTruss> shapes = {
+      make(Itemset{}, {}, {}),                 // "||"
+      make(Itemset{a, b}, {}, {}),             // pattern only
+      make(Itemset{}, ids, {}),                // vertices only
+      make(Itemset{}, {}, edges),              // edges only
+      make(Itemset{a}, {}, edges),             // no vertex list
+      make(Itemset{b}, ids, {}),               // no edge list
+      make(Itemset{a, b, long1, long2}, ids, edges),
+      make(Itemset{long1, long2}, {7}, {{0, 4294967294u}}),
+  };
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    ExpectWriterMatchesReference(dictionary, {shapes[i]},
+                                 "shape " + std::to_string(i));
+  }
+  ExpectWriterMatchesReference(dictionary, shapes, "all shapes");
+  ExpectWriterMatchesReference(dictionary, {}, "no trusses");
+
+  // Truss counts across the header's own digit boundaries.
+  for (size_t count : {9u, 10u, 99u, 100u, 1000u}) {
+    std::vector<PatternTruss> many;
+    for (size_t i = 0; i < count; ++i) many.push_back(shapes[i % 8]);
+    ExpectWriterMatchesReference(dictionary, many,
+                                 std::to_string(count) + " trusses");
+  }
+}
+
+TEST(LineProtocolTest, TrussesWriterMatchesReferenceOnRandomAnswers) {
+  DatabaseNetwork net = MakeFigureOneNetwork();
+  TcTree tree = TcTree::Build(net);
+  ExpectWriterMatchesReference(net.dictionary(),
+                               QueryTcTree(tree, Itemset{0}, 0.1).trusses,
+                               "Figure 1, {0} at 0.1");
+
+  // Random trusses whose ids span every digit length: a uniform digit
+  // count first, then a uniform value of that length.
+  ItemDictionary dictionary;
+  for (int i = 0; i < 12; ++i) {
+    dictionary.GetOrAdd("item" + std::string(static_cast<size_t>(i * 7), 'z') +
+                        std::to_string(i));
+  }
+  Rng rng(20260417);
+  auto random_id = [&rng] {
+    const uint64_t digits = 1 + rng.NextUint64(10);
+    uint64_t lo = 1;
+    for (uint64_t d = 1; d < digits; ++d) lo *= 10;
+    const uint64_t hi = std::min<uint64_t>(lo * 10, kInvalidVertex);
+    return static_cast<VertexId>(digits == 1 ? rng.NextUint64(10)
+                                             : lo + rng.NextUint64(hi - lo));
+  };
+  for (int round = 0; round < 200; ++round) {
+    std::vector<PatternTruss> trusses(rng.NextUint64(6));
+    for (PatternTruss& t : trusses) {
+      std::vector<ItemId> items;
+      for (uint64_t i = rng.NextUint64(5); i > 0; --i) {
+        items.push_back(static_cast<ItemId>(rng.NextUint64(12)));
+      }
+      t.pattern = Itemset(std::move(items));
+      for (uint64_t i = rng.NextUint64(40); i > 0; --i) {
+        t.vertices.push_back(random_id());
+      }
+      std::sort(t.vertices.begin(), t.vertices.end());
+      for (uint64_t i = rng.NextUint64(40); i > 0; --i) {
+        const VertexId u = random_id();
+        const VertexId v = random_id();
+        if (u != v) t.edges.push_back({std::min(u, v), std::max(u, v)});
+      }
+      std::sort(t.edges.begin(), t.edges.end());
+    }
+    ExpectWriterMatchesReference(dictionary, trusses,
+                                 "round " + std::to_string(round));
+  }
+}
+
+// The one-renderer rule, checked where it could silently regress: the
+// query, BATCH and EXPLAIN paths of the server each render TRUSSES
+// through AppendTrussesResponse, and nothing there hand-rolls the shape.
+TEST(LineProtocolTest, ServerRendersTrussesOnlyThroughTheWriter) {
+  std::ifstream in(std::string(TCF_SOURCE_DIR) + "/src/serve/tcp_server.cc");
+  ASSERT_TRUE(in.good());
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  auto count = [&source](std::string_view needle) {
+    size_t n = 0;
+    for (size_t pos = source.find(needle); pos != std::string::npos;
+         pos = source.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  for (const char* handler :
+       {"TcpServer::HandleQuery(", "TcpServer::HandleExplain(",
+        "TcpServer::HandleBatch("}) {
+    const size_t begin = source.find(handler);
+    ASSERT_NE(begin, std::string::npos) << handler;
+    const size_t end = source.find("\n}\n", begin);
+    const std::string body = source.substr(begin, end - begin);
+    EXPECT_NE(body.find("AppendTrussesResponse("), std::string::npos)
+        << handler;
+  }
+  EXPECT_EQ(count("AppendTrussesResponse("), 3u);
+  EXPECT_EQ(count("EncodeTruss("), 0u);
+  EXPECT_EQ(count("\"TRUSSES\""), 0u);
 }
 
 // ----------------------------------------------------- query-line round trip

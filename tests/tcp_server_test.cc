@@ -3,10 +3,13 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -25,6 +28,7 @@
 #include "serve/line_protocol.h"
 #include "serve/shard_router.h"
 #include "test_util.h"
+#include "util/failpoint.h"
 #include "util/string_util.h"
 
 namespace tcf {
@@ -163,6 +167,17 @@ class RawReader {
   std::string buf_;
   size_t pos_ = 0;
 };
+
+/// The most a TCP socket's send buffer may autotune to (the third
+/// field of tcp_wmem); 4 MiB, the usual default, where that is unknown.
+size_t MaxTcpSendBuffer() {
+  std::FILE* f = std::fopen("/proc/sys/net/ipv4/tcp_wmem", "r");
+  unsigned long min = 0, def = 0, max = 0;
+  const bool read =
+      f != nullptr && std::fscanf(f, "%lu %lu %lu", &min, &def, &max) == 3;
+  if (f != nullptr) std::fclose(f);
+  return read ? max : size_t{4} << 20;
+}
 
 /// Ensures the process may hold at least `needed` file descriptors,
 /// raising the soft limit toward the hard limit if necessary. False if
@@ -798,6 +813,125 @@ TEST(TcpServerTest, NonReadingPipelinerIsBackpressuredNotDropped) {
   EXPECT_EQ(reader.ReadLine().rfind("TCF1 OK BYE 0", 0), 0u);
   EXPECT_TRUE(reader.ReadLine().empty());  // closed after QUIT
   ::close(fd);
+  server.Shutdown();
+}
+
+// Replies far larger than the socket buffers, pipelined on one
+// connection behind and ahead of small ones, leave through the
+// write buffer's sent offset: every reply arrives whole, byte-exact and
+// in order; reads pause while the unsent bytes sit at the high-water
+// mark and resume once they drain. Under TCF_FAILPOINTS=1, 30% of the
+// sends also fail with a simulated EAGAIN, forcing partial flushes.
+TEST(TcpServerTest, MegabyteRepliesPipelineInOrderWithBackpressure) {
+  DatabaseNetwork net = MakeRandomNetwork(
+      {.num_vertices = 40, .edge_prob = 0.5, .num_items = 6, .seed = 303});
+  TcTree tree = TcTree::Build(net);
+  QueryService service(tree, net.dictionary(), {});
+  TcpServerOptions options;
+  options.max_write_buffer = size_t{64} << 10;
+  TcpServer server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+  const bool chaos = FailpointsArmed();
+  if (chaos) {
+    ResetFailpoints();
+    ASSERT_TRUE(ConfigureFailpoint("net.write.eagain", "prob:0.3").ok());
+  }
+
+  // Expected bytes come from a second service over the same tree,
+  // rendered by the writer the server uses.
+  QueryService oracle(tree, net.dictionary(), {});
+  auto reply_for = [&](const std::string& line) {
+    auto query = oracle.ParseQueryLine(line);
+    EXPECT_TRUE(query.ok()) << line;
+    std::string out;
+    AppendTrussesResponse(net.dictionary(), oracle.Execute(*query)->trusses,
+                          &out);
+    return out;
+  };
+  const std::string small_line = "0.1;i0";
+  const std::string small_reply = reply_for(small_line);
+  // The big reply (at least 1 MiB) must outgrow what the kernel can
+  // buffer for the socket, or the server never holds unsent bytes at
+  // the high-water mark.
+  const size_t big_bytes = 2 * MaxTcpSendBuffer() + (size_t{1} << 20);
+  const std::string big_line = "0.0;*";
+  const std::string big_slot = reply_for(big_line);
+  const size_t slots =
+      std::min(kMaxBatchLines, big_bytes / big_slot.size() + 1);
+  std::string batch = StrFormat("BATCH %zu\n", slots);
+  std::string batch_reply;
+  for (size_t i = 0; i < slots; ++i) {
+    batch += big_line + "\n";
+    batch_reply += big_slot;
+  }
+  ASSERT_GE(batch_reply.size(), big_bytes);
+
+  // A small receive window keeps the reply from hiding in kernel
+  // buffers; the timeout turns a wedged server into a failure.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 16 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Part 1: the big reply between two small ones. Nothing is read yet.
+  ASSERT_TRUE(RawSend(fd, small_line + "\n" + batch + "PING\n"));
+  // Batch bytes reaching this socket mean the loop has queued the big
+  // reply and is inside the FlushWrites that pauses reads; it cannot
+  // look at part 2 before that call returns.
+  int queued = 0;
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(::ioctl(fd, FIONREAD, &queued), 0);
+    if (static_cast<size_t>(queued) > small_reply.size()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(static_cast<size_t>(queued), small_reply.size());
+  EXPECT_EQ(service.Report().queries, 1 + slots);
+
+  // Part 2 waits in the kernel while reads are paused: nothing of it is
+  // framed, so no unit is pending and no query runs.
+  ASSERT_TRUE(
+      RawSend(fd, batch + small_line + "\n" + small_line + "\nPING\nQUIT\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  Gauge& pending = service.metrics().GetGauge(
+      "tcf_server_pending_units",
+      "Request units queued or executing in the TCP server "
+      "(the load-shedding pressure signal)");
+  EXPECT_EQ(pending.Value(), 0.0);
+  EXPECT_EQ(service.Report().queries, 1 + slots);
+
+  // Draining resumes reads; part 2 is answered behind part 1.
+  const std::string want = small_reply + batch_reply + "TCF1 OK PONG 0\n" +
+                           batch_reply + small_reply + small_reply +
+                           "TCF1 OK PONG 0\nTCF1 OK BYE 0\n";
+  std::string got;
+  char chunk[65536];
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF after BYE, or the timeout
+    got.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_EQ(got.size(), want.size());
+  const auto diff = std::mismatch(want.begin(), want.end(), got.begin());
+  EXPECT_TRUE(diff.first == want.end())
+      << "first differing byte at offset " << (diff.first - want.begin());
+  EXPECT_EQ(service.Report().queries, 3 + 2 * slots);
+
+  if (chaos) {
+    EXPECT_GT(FailpointEvaluations("net.write.eagain"), 0u);
+    ResetFailpoints();
+  }
   server.Shutdown();
 }
 
