@@ -19,7 +19,7 @@
 // lines — pipelined `BATCH` exchanges of --depth=D queries per round
 // trip (D=1 falls back to one request per round trip) — measuring both
 // client-observed end-to-end throughput and the server's own aggregate
-// QPS / p99 from ServeStats. After the connection ramp, a full pass at
+// QPS / p99 from its STATS view. After the connection ramp, a full pass at
 // the top connection count runs with a mid-pass RELOAD to demonstrate
 // that a snapshot swap under pipelined load drops zero responses.
 //
@@ -115,17 +115,14 @@ void RunDataset(const char* name, const DatabaseNetwork& net, size_t queries,
     options.tracing = tracing;
     QueryService service(tree, net.dictionary(), options);
 
-    service.stats().Reset();
+    const ServeReport start = service.Report();
     service.ExecuteBatch(workload);
-    const ServeReport cold = service.Report();
+    const ServeReport after_cold = service.Report();
+    const ServeReport cold = after_cold.Since(start);
 
-    service.stats().Reset();
-    const ResultCacheStats before = service.cache_stats();
     service.ExecuteBatch(workload);
-    const ServeReport warm = service.Report();
-    ResultCacheStats delta = warm.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
+    const ServeReport warm = service.Report().Since(after_cold);
+    const ResultCacheStats& delta = warm.cache;
 
     table.AddRow({TextTable::Num(static_cast<uint64_t>(threads)),
                   TextTable::Num(cold.qps, 0), TextTable::Num(cold.p99_us, 1),
@@ -230,20 +227,14 @@ void RunZipfDataset(const char* name, const DatabaseNetwork& net,
     options.tracing = tracing;
     QueryService service(tree, net.dictionary(), options);
 
-    service.stats().Reset();
+    const ServeReport start = service.Report();
     service.ExecuteBatch(warmup);
-    const ServeReport warm = service.Report();
+    const ServeReport after_warmup = service.Report();
+    const ServeReport warm = after_warmup.Since(start);
 
-    service.stats().Reset();
-    const ResultCacheStats before = service.cache_stats();
     service.ExecuteBatch(fresh);
-    const ServeReport measured = service.Report();
-    ResultCacheStats delta = measured.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.partial_hits -= before.partial_hits;
-    delta.composed_queries -= before.composed_queries;
-    delta.admission_rejects -= before.admission_rejects;
+    const ServeReport measured = service.Report().Since(after_warmup);
+    const ResultCacheStats& delta = measured.cache;
 
     fresh_qps[composable] = measured.qps;
     if (composable) {
@@ -325,24 +316,21 @@ void RunShardDataset(const char* name, const DatabaseNetwork& net,
           tree, net.dictionary(), shards, options);
     }
 
-    backend->stats().Reset();
+    const ServeReport start = backend->Report();
     backend->ExecuteBatch(cold);
-    const ServeReport cold_report = backend->Report();
+    const ServeReport after_cold = backend->Report();
+    const ServeReport cold_report = after_cold.Since(start);
 
-    const uint64_t shard_queries_before = backend->Report().shard_queries;
-    backend->stats().Reset();
     backend->ExecuteBatch(fresh);
-    const ServeReport report = backend->Report();
+    const ServeReport report = backend->Report().Since(after_cold);
 
     const uint64_t trusses =
         cold_report.trusses_returned + report.trusses_returned;
     if (shards == 1) expect_trusses = trusses;
     if (trusses != expect_trusses) parity_ok = false;
-    // shard_queries is a lifetime counter; scope it to the fresh pass.
     const double fanout =
         report.queries > 0 && report.shards > 0
-            ? static_cast<double>(report.shard_queries -
-                                  shard_queries_before) /
+            ? static_cast<double>(report.shard_queries) /
                   static_cast<double>(report.queries)
             : 1.0;
     table.AddRow({shards == 1 ? "1 (unsharded)" : TextTable::Num(shards),
@@ -606,11 +594,10 @@ void RunChurnDataset(const char* name,
     const std::vector<ServeQuery> workload = MakeWorkload(net, queries, 17);
 
     // Base pass: the same warm-cache traffic with no updates in flight.
-    backend->stats().Reset();
     backend->ExecuteBatch(workload);
-    backend->stats().Reset();
+    const ServeReport warmed = backend->Report();
     backend->ExecuteBatch(workload);
-    const ServeReport base = backend->Report();
+    const ServeReport base = backend->Report().Since(warmed);
 
     // The replay MUST use the options the serving tree was built with;
     // an unbounded replay of a capped build would re-enumerate the full
@@ -625,7 +612,8 @@ void RunChurnDataset(const char* name,
         build_options);
 
     std::atomic<bool> stop{false};
-    backend->stats().Reset();  // cache stays warm: survivors keep serving
+    // The cache stays warm: survivors keep serving.
+    const ServeReport before_churn = backend->Report();
     std::vector<std::thread> readers;
     for (size_t r = 0; r < 4; ++r) {
       readers.emplace_back([&, r] {
@@ -657,7 +645,7 @@ void RunChurnDataset(const char* name,
     }
     stop.store(true, std::memory_order_release);
     for (auto& th : readers) th.join();
-    const ServeReport churn = backend->Report();
+    const ServeReport churn = backend->Report().Since(before_churn);
 
     std::sort(freshness.begin(), freshness.end());
     const double fresh_p50 =
@@ -796,7 +784,7 @@ std::vector<size_t> ConnectionRamp(size_t max) {
 
 /// Network mode: the same skewed workload, replayed as protocol lines
 /// over loopback TCP at increasing connection counts. Prints the
-/// client-observed table, the server-side aggregate (ServeStats) table,
+/// client-observed table, the server-side aggregate (STATS view) table,
 /// and finishes with a RELOAD-under-load pass at the top connection
 /// count that must drop zero responses.
 void RunNetworkDataset(const char* name, const DatabaseNetwork& net,
@@ -818,8 +806,8 @@ void RunNetworkDataset(const char* name, const DatabaseNetwork& net,
   TextTable client_table({"conns", "cold q/s", "cold p99 rt(us)",
                           "warm q/s", "warm p99 rt(us)", "warm hit rate",
                           "KiB in", "KiB out"});
-  // The satellite requirement: aggregate QPS and p99 from the server's
-  // own ServeStats, so performance.md numbers come from one command.
+  // Aggregate QPS and p99 from the server's own STATS view (its
+  // registry fold), so performance.md numbers come from one command.
   TextTable server_table({"conns", "cold srv q/s", "cold srv p99(us)",
                           "warm srv q/s", "warm srv p99(us)"});
   for (size_t connections : ConnectionRamp(max_connections)) {
@@ -837,19 +825,16 @@ void RunNetworkDataset(const char* name, const DatabaseNetwork& net,
       return;
     }
 
-    service.stats().Reset();
+    const ServeReport start = service.Report();
     const PassResult cold = NetworkPass(server.port(), lines, connections,
                                         depth);
-    const ServeReport cold_srv = service.Report();
+    const ServeReport after_cold = service.Report();
+    const ServeReport cold_srv = after_cold.Since(start);
 
-    const ResultCacheStats before = service.cache_stats();
-    service.stats().Reset();
     const PassResult warm = NetworkPass(server.port(), lines, connections,
                                         depth);
-    const ServeReport warm_srv = service.Report();
-    ResultCacheStats delta = service.cache_stats();
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
+    const ServeReport warm_srv = service.Report().Since(after_cold);
+    const ResultCacheStats& delta = warm_srv.cache;
 
     client_table.AddRow({TextTable::Num(static_cast<uint64_t>(connections)),
                          TextTable::Num(cold.qps, 0),
@@ -880,7 +865,7 @@ void RunNetworkDataset(const char* name, const DatabaseNetwork& net,
               depth == 1 ? "y" : "ies");
   if (csv) client_table.PrintCsv(std::cout);
   else client_table.Print(std::cout);
-  std::printf("server-side aggregate (ServeStats):\n");
+  std::printf("server-side aggregate (STATS view):\n");
   if (csv) server_table.PrintCsv(std::cout);
   else server_table.Print(std::cout);
 

@@ -55,6 +55,13 @@ uint64_t Counter::Value() const {
 
 void Gauge::Add(double v) { AtomicAdd(value_, v); }
 
+void Gauge::SetMax(double v) {
+  double cur = value_.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 double Histogram::BucketBound(size_t i) {
   if (i + 1 >= kBuckets) return std::numeric_limits<double>::infinity();
   return static_cast<double>(uint64_t{1} << i);
@@ -157,6 +164,13 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
   return *Register(name, help, Kind::kHistogram).histogram;
 }
 
+Gauge& MetricsRegistry::GetUnexportedGauge(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& entry = Register(name, "", Kind::kGauge);
+  entry.exported = false;
+  return *entry.gauge;
+}
+
 void MetricsRegistry::RegisterCallback(const std::string& name,
                                        const std::string& help,
                                        CallbackKind kind,
@@ -171,6 +185,7 @@ std::string MetricsRegistry::Render() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, entry] : entries_) {
+    if (!entry.exported) continue;
     out += "# HELP " + name + " " + entry.help + "\n";
     switch (entry.kind) {
       case Kind::kCounter:

@@ -55,6 +55,8 @@ class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   void Add(double v);
+  /// Raises the value to `v` when `v` is larger (a high-water mark).
+  void SetMax(double v);
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -125,6 +127,9 @@ class MetricsRegistry {
   Counter& GetCounter(const std::string& name, const std::string& help);
   Gauge& GetGauge(const std::string& name, const std::string& help);
   Histogram& GetHistogram(const std::string& name, const std::string& help);
+  /// A gauge that Render leaves out: a value a view folds (STATS's
+  /// batch_max_depth) without a METRICS family of its own.
+  Gauge& GetUnexportedGauge(const std::string& name);
 
   /// Scrape-time instrument: `fn()` is sampled on every Render.
   void RegisterCallback(const std::string& name, const std::string& help,
@@ -141,6 +146,7 @@ class MetricsRegistry {
   enum class Kind { kCounter, kGauge, kHistogram, kCallback };
   struct Entry {
     Kind kind;
+    bool exported = true;
     std::string help;
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;

@@ -12,7 +12,9 @@
 namespace tcf {
 
 FileWatcher::FileWatcher(QueryBackend& backend, FileWatcherOptions options)
-    : backend_(backend), options_(std::move(options)) {}
+    : backend_(backend),
+      counters_(backend.metrics()),
+      options_(std::move(options)) {}
 
 FileWatcher::~FileWatcher() { Stop(); }
 
@@ -90,7 +92,8 @@ void FileWatcher::Loop() {
       auto reloaded = backend_.ReloadFromFile(options_.path);
       if (reloaded.ok()) {
         const double ms = timer.Millis();
-        backend_.stats().RecordReload(ms);
+        counters_.reloads.Increment();
+        counters_.last_reload_ms.Set(ms);
         reloads_.fetch_add(1, std::memory_order_acq_rel);
         last_seen_ = now;
         TCF_LOG(Info) << "watch " << options_.path << ": " << *reloaded

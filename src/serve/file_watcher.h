@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "serve/query_backend.h"
+#include "serve/serve_stats.h"
 #include "util/status.h"
 
 namespace tcf {
@@ -85,6 +86,7 @@ class FileWatcher {
   void Loop();
 
   QueryBackend& backend_;
+  ServeCounters counters_;  // tcf_reloads_total, tcf_last_reload_ms
   FileWatcherOptions options_;
   Fingerprint last_seen_;
 

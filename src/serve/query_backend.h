@@ -121,9 +121,8 @@ class QueryBackend {
   virtual const ItemDictionary& dictionary() const = 0;
   virtual size_t num_threads() const = 0;
 
-  virtual ServeStats& stats() = 0;
   virtual ResultCacheStats cache_stats() const = 0;
-  /// Stats + cache counters in one report.
+  /// The fold of metrics() plus the cache counters: what STATS renders.
   virtual ServeReport Report() const = 0;
 
   /// The backend-owned metrics registry (rendered by the METRICS verb).

@@ -7,7 +7,6 @@
 #include "core/cohesion.h"
 #include "core/tc_tree_io.h"
 #include "core/tcfi_format.h"
-#include "serve/line_protocol.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -16,14 +15,11 @@ namespace tcf {
 
 QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
                            const QueryServiceOptions& options)
-    : slow_log_(options.tracing ? options.slow_query_us : 0,
-                options.slow_log_capacity),
-      dictionary_(std::move(dictionary)),
+    : dictionary_(std::move(dictionary)),
       options_(options),
+      instruments_(metrics_, options_, dictionary_),
       pool_(options.num_threads == 0 ? HardwareThreads()
                                      : options.num_threads),
-      queries_total_(metrics_.GetCounter("tcf_queries_total",
-                                         "Queries answered by Execute")),
       cache_hits_total_(metrics_.GetCounter(
           "tcf_query_cache_hits_total",
           "Queries answered from the exact-match result cache")),
@@ -42,21 +38,7 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
       prunes_total_(metrics_.GetCounter(
           "tcf_query_prunes_total",
           "Prop-5.2 subtree prunes taken by query walks")),
-      slow_queries_total_(metrics_.GetCounter(
-          "tcf_slow_queries_total",
-          "Queries admitted to the slow-query ring")),
-      query_total_us_(metrics_.GetHistogram(
-          "tcf_query_total_us", "End-to-end Execute wall microseconds")),
       snapshot_(std::make_shared<const TcTreeSnapshot>(std::move(snapshot))) {
-  for (size_t i = 0; i < kNumQueryStages; ++i) {
-    const auto stage = static_cast<QueryStage>(i);
-    stage_us_[i] = &metrics_.GetHistogram(
-        StrFormat("tcf_query_stage_%.*s_us",
-                  static_cast<int>(QueryStageName(stage).size()),
-                  QueryStageName(stage).data()),
-        std::string("Wall microseconds spent in the ") +
-            std::string(QueryStageName(stage)) + " stage");
-  }
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<ResultCache>(ResultCacheOptions{
         .capacity_bytes = options_.cache_bytes,
@@ -90,18 +72,11 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
           return static_cast<double>(cache_->Stats().admission_rejects);
         });
   }
-  stats_.RegisterMetrics(&metrics_);
   metrics_.RegisterCallback(
       "tcf_walk_us_ewma",
       "EWMA of full-walk miss CPU microseconds (composition gate input)",
       MetricsRegistry::CallbackKind::kGauge,
       [this] { return walk_us_ewma_.load(std::memory_order_relaxed); });
-  metrics_.RegisterCallback(
-      "tcf_query_latency_p99_us",
-      "p99 end-to-end query latency, interpolated from the "
-      "tcf_query_total_us buckets (0 until a traced query lands)",
-      MetricsRegistry::CallbackKind::kGauge,
-      [this] { return HistogramQuantile(query_total_us_.Fold(), 0.99); });
 }
 
 StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
@@ -145,14 +120,6 @@ bool QueryService::ShouldSampleWalk() {
          0;
 }
 
-bool QueryService::ShouldTrace() {
-  if (!options_.tracing) return false;
-  if (options_.trace_sample_every <= 1) return true;
-  return trace_clock_.fetch_add(1, std::memory_order_relaxed) %
-             options_.trace_sample_every ==
-         0;
-}
-
 void QueryService::RecordWalkMicros(double micros) {
   double ewma = walk_us_ewma_.load(std::memory_order_relaxed);
   double next = ewma == 0 ? micros : 0.9 * ewma + 0.1 * micros;
@@ -178,24 +145,6 @@ void QueryService::AdmitDerivedSubsets(
   }
 }
 
-void QueryService::RecordTrace(const ServeQuery& query,
-                               const QueryTrace& trace) {
-  query_total_us_.Record(trace.total_us);
-  // kParse/kSerialize belong to the transport; Execute's stages are the
-  // middle three. Zero-duration stages that never ran stay out of their
-  // histograms so the bucket counts mean "times this stage executed".
-  for (const QueryStage stage :
-       {QueryStage::kCacheProbe, QueryStage::kCompose, QueryStage::kWalk}) {
-    const double us = trace.stage_wall_us[static_cast<size_t>(stage)];
-    if (us > 0) stage_us_[static_cast<size_t>(stage)]->Record(us);
-  }
-  if (slow_log_.Qualifies(trace.total_us)) {
-    slow_queries_total_.Increment();
-    // Paid only for queries that already crossed the threshold.
-    slow_log_.Record(EncodeQueryLine(dictionary_, query), trace);
-  }
-}
-
 QueryService::Result QueryService::Execute(const ServeQuery& query,
                                            QueryTrace* trace) {
   WallTimer timer;
@@ -204,9 +153,10 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
   // caller's when one is passed (EXPLAIN), nullptr otherwise.
   QueryTrace local_trace;
   QueryTrace* t =
-      trace != nullptr ? trace : (ShouldTrace() ? &local_trace : nullptr);
+      trace != nullptr ? trace
+                       : (instruments_.ShouldTrace() ? &local_trace : nullptr);
   const CohesionValue alpha_q = QuantizeAlpha(query.alpha);
-  queries_total_.Increment();
+  instruments_.CountExecute();
 
   // Per-call traversal options: the service-wide knobs plus this
   // query's budget. The "walk.deadline" failpoint stamps an
@@ -227,14 +177,13 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
     if (hit) {
       cache_hits_total_.Increment();
       const double us = timer.Micros();
-      stats_.RecordQuery(us, hit->trusses.size());
       if (t != nullptr) {
         t->cache_hit = true;
         t->updates_applied = updates_applied();
         t->trusses = hit->trusses.size();
         t->total_us = us;
-        RecordTrace(query, *t);
       }
+      instruments_.RecordAnswered(query, us, hit->trusses.size(), t);
       return hit;
     }
     cache_misses_total_.Increment();
@@ -289,7 +238,6 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
     // Partial work is not an answer: never cached, never derived from,
     // and not counted as a served query. The transport turns the flag
     // into ERR DeadlineExceeded.
-    stats_.RecordDeadlineExceeded();
     if (t != nullptr) {
       t->deadline_exceeded = true;
       t->updates_applied = updates_applied();
@@ -298,8 +246,8 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
       t->pruned_subtrees = result->pruned_subtrees;
       t->trusses = result->trusses.size();
       t->total_us = timer.Micros();
-      RecordTrace(query, *t);
     }
+    instruments_.RecordExpired(query, t);
     return result;
   }
   if (cache_) {
@@ -308,7 +256,6 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
   }
 
   const double us = timer.Micros();
-  stats_.RecordQuery(us, result->trusses.size());
   if (t != nullptr) {
     t->updates_applied = updates_applied();
     t->visited_nodes = result->visited_nodes;
@@ -316,8 +263,8 @@ QueryService::Result QueryService::Execute(const ServeQuery& query,
     t->pruned_subtrees = result->pruned_subtrees;
     t->trusses = result->trusses.size();
     t->total_us = us;
-    RecordTrace(query, *t);
   }
+  instruments_.RecordAnswered(query, us, result->trusses.size(), t);
   return result;
 }
 

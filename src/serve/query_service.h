@@ -168,19 +168,22 @@ class QueryService : public QueryBackend {
   const ItemDictionary& dictionary() const override { return dictionary_; }
   size_t num_threads() const override { return pool_.num_threads(); }
 
-  ServeStats& stats() override { return stats_; }
   ResultCacheStats cache_stats() const override {
     return cache_ ? cache_->Stats() : ResultCacheStats{};
   }
-  /// Stats + cache counters in one report.
-  ServeReport Report() const override { return stats_.Report(cache_stats()); }
+  /// The registry fold plus the cache counters.
+  ServeReport Report() const override {
+    return instruments_.Report(cache_stats());
+  }
 
   /// The service-owned metrics registry (rendered by the METRICS verb).
   /// Transports and build hooks register their own instruments here.
   MetricsRegistry& metrics() override { return metrics_; }
   /// The slow-query ring (empty while tracing is off or nothing crossed
   /// the threshold).
-  const SlowQueryLog& slow_log() const override { return slow_log_; }
+  const SlowQueryLog& slow_log() const override {
+    return instruments_.slow_log();
+  }
   bool tracing_enabled() const override { return options_.tracing; }
 
  private:
@@ -205,11 +208,6 @@ class QueryService : public QueryBackend {
   /// ShouldCompose.
   void RecordWalkMicros(double micros);
 
-  /// True when this query should carry a stack-local trace: tracing is
-  /// on and the sample clock says it's this query's turn (every
-  /// trace_sample_every-th; <= 1 means all).
-  bool ShouldTrace();
-
   /// Derives answers for `items`'s size-(|items|−1) sub-itemsets from
   /// `result` and admits the ones not already resident (see
   /// QueryServiceOptions::cache_admit_derived).
@@ -217,38 +215,28 @@ class QueryService : public QueryBackend {
                            const Result& result, uint64_t epoch_seen,
                            const std::shared_ptr<const TcTreeSnapshot>& snap);
 
-  /// Folds one finished traced query into the registry histograms and,
-  /// when slow enough, the ring.
-  void RecordTrace(const ServeQuery& query, const QueryTrace& trace);
-
-  // Declared before the cache and stats so the registry (whose callback
-  // instruments read them at scrape time) is destroyed last.
+  // Declared before the cache so the registry (whose callback
+  // instruments read it at scrape time) is destroyed last.
   MetricsRegistry metrics_;
-  SlowQueryLog slow_log_;
   ItemDictionary dictionary_;
   QueryServiceOptions options_;
+  QueryInstruments instruments_;
   ThreadPool pool_;
   std::unique_ptr<ResultCache> cache_;  // null when caching is disabled
-  ServeStats stats_;
 
   // Hot-path instrument handles, resolved once at construction.
-  Counter& queries_total_;
   Counter& cache_hits_total_;
   Counter& cache_misses_total_;
   Counter& composed_total_;
   Counter& covers_used_total_;
   Counter& nodes_visited_total_;
   Counter& prunes_total_;
-  Counter& slow_queries_total_;
-  Histogram& query_total_us_;
-  std::array<Histogram*, kNumQueryStages> stage_us_;
   /// EWMA (α = 0.1) of full-walk miss latency, µs. Composed misses do
   /// not update it — it tracks what a walk *would* cost, so the gate
   /// cannot oscillate by measuring its own savings; ShouldSampleWalk's
   /// periodic forced walks keep it live while composition is engaged.
   std::atomic<double> walk_us_ewma_{0.0};
   std::atomic<uint64_t> composable_misses_{0};  // ShouldSampleWalk clock
-  std::atomic<uint64_t> trace_clock_{0};        // ShouldTrace clock
   std::atomic<uint64_t> updates_applied_{0};    // incremental swaps so far
 
   mutable std::mutex snapshot_mu_;

@@ -1,23 +1,55 @@
 #include "serve/serve_stats.h"
 
-#include <algorithm>
-#include <functional>
 #include <sstream>
-#include <thread>
 
+#include "serve/line_protocol.h"
+#include "serve/query_service.h"
 #include "util/string_util.h"
 
 namespace tcf {
 namespace {
 
-/// Exact percentile of a sorted sample set (nearest-rank).
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const size_t rank = static_cast<size_t>(p * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
+/// Derives queries, qps, mean and the percentiles from `r->latency` and
+/// `r->wall_seconds`.
+void DeriveLatencyFields(ServeReport* r) {
+  r->queries = r->latency.count;
+  r->qps = r->wall_seconds > 0
+               ? static_cast<double>(r->queries) / r->wall_seconds
+               : 0;
+  r->mean_us = r->queries > 0
+                   ? r->latency.sum / static_cast<double>(r->queries)
+                   : 0;
+  r->p50_us = HistogramQuantile(r->latency, 0.50);
+  r->p90_us = HistogramQuantile(r->latency, 0.90);
+  r->p99_us = HistogramQuantile(r->latency, 0.99);
+  r->max_us = HistogramQuantile(r->latency, 1.0);
 }
 
+uint64_t GaugeU64(const Gauge& g) { return static_cast<uint64_t>(g.Value()); }
+
 }  // namespace
+
+ServeReport ServeReport::Since(const ServeReport& before) const {
+  ServeReport pass = *this;
+  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+    pass.latency.buckets[b] -= before.latency.buckets[b];
+  }
+  pass.latency.count -= before.latency.count;
+  pass.latency.sum -= before.latency.sum;
+  pass.trusses_returned -= before.trusses_returned;
+  pass.wall_seconds -= before.wall_seconds;
+  pass.shard_queries -= before.shard_queries;
+  pass.cache.hits -= before.cache.hits;
+  pass.cache.misses -= before.cache.misses;
+  pass.cache.inserts -= before.cache.inserts;
+  pass.cache.evictions -= before.cache.evictions;
+  pass.cache.invalidations -= before.cache.invalidations;
+  pass.cache.partial_hits -= before.cache.partial_hits;
+  pass.cache.composed_queries -= before.cache.composed_queries;
+  pass.cache.admission_rejects -= before.cache.admission_rejects;
+  DeriveLatencyFields(&pass);
+  return pass;
+}
 
 TextTable ServeReport::ToTable() const {
   TextTable t({"metric", "value"});
@@ -105,233 +137,153 @@ std::string ServeReport::ToString() const {
   return os.str();
 }
 
-ServeStats::ServeStats() = default;
+ServeCounters::ServeCounters(MetricsRegistry& r)
+    : connections_accepted(r.GetCounter("tcf_connections_accepted_total",
+                                        "Network connections accepted.")),
+      connections_active(r.GetGauge("tcf_connections_active",
+                                    "Currently open network connections.")),
+      connections_peak(r.GetGauge("tcf_connections_peak",
+                                  "High-water mark of active connections.")),
+      bytes_in(r.GetCounter("tcf_bytes_in_total",
+                            "Request bytes read off sockets.")),
+      bytes_out(r.GetCounter("tcf_bytes_out_total",
+                             "Response bytes written to sockets.")),
+      batches(r.GetCounter("tcf_batches_total", "BATCH requests executed.")),
+      batch_queries(r.GetCounter("tcf_batch_queries_total",
+                                 "Query lines carried inside batches.")),
+      batch_max_depth(r.GetUnexportedGauge("tcf_batch_max_depth")),
+      reloads(r.GetCounter("tcf_reloads_total", "Snapshot reloads completed.")),
+      last_reload_ms(r.GetGauge("tcf_last_reload_ms",
+                                "Wall time of the most recent reload, ms.")),
+      updates(r.GetCounter("tcf_updates_total",
+                           "Streaming-update flushes accepted.")),
+      update_txs(r.GetCounter("tcf_update_txs_total",
+                              "Transactions applied by streaming updates.")),
+      update_edges(r.GetCounter("tcf_update_edges_total",
+                                "Edges applied by streaming updates.")),
+      update_dirty_items(r.GetCounter(
+          "tcf_update_dirty_items_total",
+          "Items dirtied by streaming updates (cache-invalidation scope).")),
+      update_shards_swapped(
+          r.GetCounter("tcf_update_shards_swapped_total",
+                       "Shard snapshots rolled by streaming updates.")),
+      last_update_ms(r.GetGauge(
+          "tcf_last_update_ms",
+          "Enqueue-to-swap wall time of the most recent update, ms.")),
+      deadline_exceeded(r.GetCounter(
+          "tcf_deadline_exceeded_total",
+          "Queries that expired mid-execution (ERR DeadlineExceeded).")),
+      rate_limited(
+          r.GetCounter("tcf_rate_limited_total",
+                       "Requests refused by the per-client token bucket.")),
+      shed(r.GetCounter("tcf_shed_total",
+                        "Requests dropped by queue-depth load shedding.")),
+      clients_tracked(r.GetGauge(
+          "tcf_clients_tracked",
+          "Per-client accounting records currently held in the LRU.")) {}
 
-ServeStats::Stripe& ServeStats::StripeForThisThread() {
-  const size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripes_[h % kStripes];
+QueryInstruments::QueryInstruments(MetricsRegistry& registry,
+                                   const QueryServiceOptions& options,
+                                   const ItemDictionary& dictionary)
+    : dictionary_(dictionary),
+      tracing_(options.tracing),
+      trace_sample_every_(options.trace_sample_every),
+      slow_log_(options.tracing ? options.slow_query_us : 0,
+                options.slow_log_capacity),
+      counters_(registry),
+      queries_total_(registry.GetCounter("tcf_queries_total",
+                                         "Queries answered by Execute")),
+      trusses_returned_(registry.GetCounter(
+          "tcf_trusses_returned_total",
+          "Pattern trusses returned by answered queries")),
+      slow_queries_total_(registry.GetCounter(
+          "tcf_slow_queries_total",
+          "Queries admitted to the slow-query ring")),
+      query_total_us_(registry.GetHistogram(
+          "tcf_query_total_us",
+          "End-to-end Execute wall microseconds of answered queries")) {
+  for (size_t i = 0; i < kNumQueryStages; ++i) {
+    const std::string stage(QueryStageName(static_cast<QueryStage>(i)));
+    stage_us_[i] = &registry.GetHistogram(
+        "tcf_query_stage_" + stage + "_us",
+        "Wall microseconds spent in the " + stage + " stage");
+  }
+  registry.RegisterCallback(
+      "tcf_query_latency_p99_us",
+      "p99 end-to-end query latency, interpolated from the "
+      "tcf_query_total_us buckets (0 until a query is answered)",
+      MetricsRegistry::CallbackKind::kGauge,
+      [h = &query_total_us_] { return HistogramQuantile(h->Fold(), 0.99); });
 }
 
-void ServeStats::RecordQuery(double latency_us, uint64_t num_trusses) {
-  Stripe& stripe = StripeForThisThread();
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.latencies_us.push_back(latency_us);
-  stripe.trusses += num_trusses;
+bool QueryInstruments::ShouldTrace() {
+  if (!tracing_) return false;
+  if (trace_sample_every_ <= 1) return true;
+  return trace_clock_.fetch_add(1, std::memory_order_relaxed) %
+             trace_sample_every_ ==
+         0;
 }
 
-void ServeStats::RecordConnectionOpened() {
-  const uint64_t opened =
-      connections_opened_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t closed = connections_closed_.load(std::memory_order_relaxed);
-  // `active` can momentarily undercount under concurrent closes; that
-  // only ever makes the recorded peak conservative, never inflated.
-  const uint64_t active = opened - std::min(opened, closed);
-  uint64_t peak = connections_peak_.load(std::memory_order_relaxed);
-  while (active > peak &&
-         !connections_peak_.compare_exchange_weak(
-             peak, active, std::memory_order_relaxed)) {
+void QueryInstruments::RecordAnswered(const ServeQuery& query,
+                                      double total_us, uint64_t trusses,
+                                      const QueryTrace* trace) {
+  query_total_us_.Record(total_us);
+  trusses_returned_.Increment(trusses);
+  if (trace != nullptr) RecordTrace(query, *trace);
+}
+
+void QueryInstruments::RecordExpired(const ServeQuery& query,
+                                     const QueryTrace* trace) {
+  counters_.deadline_exceeded.Increment();
+  if (trace != nullptr) RecordTrace(query, *trace);
+}
+
+void QueryInstruments::RecordTrace(const ServeQuery& query,
+                                   const QueryTrace& trace) {
+  // kParse/kSerialize belong to the transport; Execute's stages are the
+  // middle three. Zero-duration stages that never ran stay out of their
+  // histograms so the bucket counts mean "times this stage executed".
+  for (const QueryStage stage :
+       {QueryStage::kCacheProbe, QueryStage::kCompose, QueryStage::kWalk}) {
+    const double us = trace.stage_wall_us[static_cast<size_t>(stage)];
+    if (us > 0) stage_us_[static_cast<size_t>(stage)]->Record(us);
+  }
+  if (slow_log_.Qualifies(trace.total_us)) {
+    slow_queries_total_.Increment();
+    // Paid only for queries that already crossed the threshold.
+    slow_log_.Record(EncodeQueryLine(dictionary_, query), trace);
   }
 }
 
-void ServeStats::RecordConnectionClosed() {
-  connections_closed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordNetworkBytes(uint64_t in, uint64_t out) {
-  bytes_in_.fetch_add(in, std::memory_order_relaxed);
-  bytes_out_.fetch_add(out, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordBatch(uint64_t depth) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_queries_.fetch_add(depth, std::memory_order_relaxed);
-  uint64_t max = batch_max_depth_.load(std::memory_order_relaxed);
-  while (depth > max &&
-         !batch_max_depth_.compare_exchange_weak(
-             max, depth, std::memory_order_relaxed)) {
-  }
-}
-
-void ServeStats::RecordReload(double wall_ms) {
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  last_reload_ms_.store(wall_ms, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordUpdate(uint64_t txs, uint64_t edges,
-                              uint64_t dirty_items, uint64_t shards_swapped,
-                              double wall_ms) {
-  updates_.fetch_add(1, std::memory_order_relaxed);
-  update_txs_.fetch_add(txs, std::memory_order_relaxed);
-  update_edges_.fetch_add(edges, std::memory_order_relaxed);
-  update_dirty_items_.fetch_add(dirty_items, std::memory_order_relaxed);
-  update_shards_swapped_.fetch_add(shards_swapped,
-                                   std::memory_order_relaxed);
-  last_update_ms_.store(wall_ms, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordDeadlineExceeded() {
-  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordRateLimited() {
-  rate_limited_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServeStats::RecordShed() {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServeStats::SetClientsTracked(uint64_t n) {
-  clients_tracked_.store(n, std::memory_order_relaxed);
-}
-
-void ServeStats::RegisterMetrics(MetricsRegistry* registry) {
-  const auto counter = [](const std::atomic<uint64_t>* v) {
-    return [v] {
-      return static_cast<double>(v->load(std::memory_order_relaxed));
-    };
-  };
-  registry->RegisterCallback(
-      "tcf_connections_accepted_total", "Network connections accepted.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&connections_opened_));
-  registry->RegisterCallback(
-      "tcf_connections_active", "Currently open network connections.",
-      MetricsRegistry::CallbackKind::kGauge, [this] {
-        const uint64_t opened =
-            connections_opened_.load(std::memory_order_relaxed);
-        const uint64_t closed =
-            connections_closed_.load(std::memory_order_relaxed);
-        return static_cast<double>(opened - std::min(opened, closed));
-      });
-  registry->RegisterCallback(
-      "tcf_connections_peak", "High-water mark of active connections.",
-      MetricsRegistry::CallbackKind::kGauge, counter(&connections_peak_));
-  registry->RegisterCallback(
-      "tcf_bytes_in_total", "Request bytes read off sockets.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&bytes_in_));
-  registry->RegisterCallback(
-      "tcf_bytes_out_total", "Response bytes written to sockets.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&bytes_out_));
-  registry->RegisterCallback(
-      "tcf_batches_total", "BATCH requests executed.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&batches_));
-  registry->RegisterCallback(
-      "tcf_batch_queries_total", "Query lines carried inside batches.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&batch_queries_));
-  registry->RegisterCallback(
-      "tcf_reloads_total", "Snapshot reloads completed.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&reloads_));
-  registry->RegisterCallback(
-      "tcf_last_reload_ms", "Wall time of the most recent reload, ms.",
-      MetricsRegistry::CallbackKind::kGauge, [this] {
-        return last_reload_ms_.load(std::memory_order_relaxed);
-      });
-  registry->RegisterCallback(
-      "tcf_updates_total", "Streaming-update flushes accepted.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&updates_));
-  registry->RegisterCallback(
-      "tcf_update_txs_total", "Transactions applied by streaming updates.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&update_txs_));
-  registry->RegisterCallback(
-      "tcf_update_edges_total", "Edges applied by streaming updates.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&update_edges_));
-  registry->RegisterCallback(
-      "tcf_update_dirty_items_total",
-      "Items dirtied by streaming updates (cache-invalidation scope).",
-      MetricsRegistry::CallbackKind::kCounter,
-      counter(&update_dirty_items_));
-  registry->RegisterCallback(
-      "tcf_update_shards_swapped_total",
-      "Shard snapshots rolled by streaming updates.",
-      MetricsRegistry::CallbackKind::kCounter,
-      counter(&update_shards_swapped_));
-  registry->RegisterCallback(
-      "tcf_last_update_ms",
-      "Enqueue-to-swap wall time of the most recent update, ms.",
-      MetricsRegistry::CallbackKind::kGauge, [this] {
-        return last_update_ms_.load(std::memory_order_relaxed);
-      });
-  registry->RegisterCallback(
-      "tcf_deadline_exceeded_total",
-      "Queries that expired mid-execution (ERR DeadlineExceeded).",
-      MetricsRegistry::CallbackKind::kCounter,
-      counter(&deadline_exceeded_));
-  registry->RegisterCallback(
-      "tcf_rate_limited_total",
-      "Requests refused by the per-client token bucket.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&rate_limited_));
-  registry->RegisterCallback(
-      "tcf_shed_total", "Requests dropped by queue-depth load shedding.",
-      MetricsRegistry::CallbackKind::kCounter, counter(&shed_));
-  registry->RegisterCallback(
-      "tcf_clients_tracked",
-      "Per-client accounting records currently held in the LRU.",
-      MetricsRegistry::CallbackKind::kGauge, counter(&clients_tracked_));
-}
-
-void ServeStats::Reset() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.latencies_us.clear();
-    stripe.trusses = 0;
-  }
-  wall_.Reset();
-}
-
-ServeReport ServeStats::Report(const ResultCacheStats& cache) const {
-  ServeReport report;
-  report.cache = cache;
-  report.wall_seconds = wall_.Seconds();
-  const uint64_t opened = connections_opened_.load(std::memory_order_relaxed);
-  const uint64_t closed = connections_closed_.load(std::memory_order_relaxed);
-  report.connections_accepted = opened;
-  report.connections_active = opened - std::min(opened, closed);
-  report.connections_peak =
-      connections_peak_.load(std::memory_order_relaxed);
-  report.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  report.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  report.batches = batches_.load(std::memory_order_relaxed);
-  report.batch_queries = batch_queries_.load(std::memory_order_relaxed);
-  report.batch_max_depth =
-      batch_max_depth_.load(std::memory_order_relaxed);
-  report.reloads = reloads_.load(std::memory_order_relaxed);
-  report.last_reload_ms = last_reload_ms_.load(std::memory_order_relaxed);
-  report.updates = updates_.load(std::memory_order_relaxed);
-  report.update_txs = update_txs_.load(std::memory_order_relaxed);
-  report.update_edges = update_edges_.load(std::memory_order_relaxed);
-  report.update_dirty_items =
-      update_dirty_items_.load(std::memory_order_relaxed);
-  report.update_shards_swapped =
-      update_shards_swapped_.load(std::memory_order_relaxed);
-  report.last_update_ms = last_update_ms_.load(std::memory_order_relaxed);
-  report.deadline_exceeded =
-      deadline_exceeded_.load(std::memory_order_relaxed);
-  report.rate_limited = rate_limited_.load(std::memory_order_relaxed);
-  report.shed = shed_.load(std::memory_order_relaxed);
-  report.clients_tracked = clients_tracked_.load(std::memory_order_relaxed);
-
-  std::vector<double> all;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    all.insert(all.end(), stripe.latencies_us.begin(),
-               stripe.latencies_us.end());
-    report.trusses_returned += stripe.trusses;
-  }
-  report.queries = all.size();
-  if (report.wall_seconds > 0) {
-    report.qps = static_cast<double>(report.queries) / report.wall_seconds;
-  }
-  if (all.empty()) return report;
-
-  std::sort(all.begin(), all.end());
-  double sum = 0;
-  for (double v : all) sum += v;
-  report.mean_us = sum / static_cast<double>(all.size());
-  report.p50_us = Percentile(all, 0.50);
-  report.p90_us = Percentile(all, 0.90);
-  report.p99_us = Percentile(all, 0.99);
-  report.max_us = all.back();
-  return report;
+ServeReport QueryInstruments::Report(const ResultCacheStats& cache) const {
+  const ServeCounters& c = counters_;
+  ServeReport r;
+  r.cache = cache;
+  r.wall_seconds = wall_.Seconds();
+  r.latency = query_total_us_.Fold();
+  r.trusses_returned = trusses_returned_.Value();
+  DeriveLatencyFields(&r);
+  r.connections_accepted = c.connections_accepted.Value();
+  r.connections_active = GaugeU64(c.connections_active);
+  r.connections_peak = GaugeU64(c.connections_peak);
+  r.bytes_in = c.bytes_in.Value();
+  r.bytes_out = c.bytes_out.Value();
+  r.batches = c.batches.Value();
+  r.batch_queries = c.batch_queries.Value();
+  r.batch_max_depth = GaugeU64(c.batch_max_depth);
+  r.reloads = c.reloads.Value();
+  r.last_reload_ms = c.last_reload_ms.Value();
+  r.updates = c.updates.Value();
+  r.update_txs = c.update_txs.Value();
+  r.update_edges = c.update_edges.Value();
+  r.update_dirty_items = c.update_dirty_items.Value();
+  r.update_shards_swapped = c.update_shards_swapped.Value();
+  r.last_update_ms = c.last_update_ms.Value();
+  r.deadline_exceeded = c.deadline_exceeded.Value();
+  r.rate_limited = c.rate_limited.Value();
+  r.shed = c.shed.Value();
+  r.clients_tracked = GaugeU64(c.clients_tracked);
+  return r;
 }
 
 }  // namespace tcf

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/tcfi_format.h"
-#include "serve/line_protocol.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -79,38 +78,21 @@ ShardedQueryService::ShardedQueryService(
 ShardedQueryService::ShardedQueryService(
     ShardedInit init, ItemDictionary dictionary,
     const QueryServiceOptions& options)
-    : slow_log_(options.tracing ? options.slow_query_us : 0,
-                options.slow_log_capacity),
-      dictionary_(std::move(dictionary)),
+    : dictionary_(std::move(dictionary)),
       options_(options),
+      instruments_(metrics_, options_, dictionary_),
       partitioner_(std::move(init.partitioner)),
       pool_(options.num_threads == 0 ? HardwareThreads()
                                      : options.num_threads),
-      queries_total_(metrics_.GetCounter("tcf_queries_total",
-                                         "Queries answered by Execute")),
       shard_queries_total_(metrics_.GetCounter(
           "tcf_shard_queries_total",
           "Per-shard sub-queries fanned out by the router")),
-      slow_queries_total_(metrics_.GetCounter(
-          "tcf_slow_queries_total",
-          "Queries admitted to the slow-query ring")),
-      query_total_us_(metrics_.GetHistogram(
-          "tcf_query_total_us", "End-to-end Execute wall microseconds")),
       fanout_(metrics_.GetHistogram(
           "tcf_shard_fanout", "Shards probed per query (scatter width)")),
       shard_reload_ms_(metrics_.GetGauge(
           "tcf_shard_reload_ms",
           "Wall ms of the most recent single-shard snapshot swap")) {
   const size_t num_shards = init.parts.size();
-  for (size_t i = 0; i < kNumQueryStages; ++i) {
-    const auto stage = static_cast<QueryStage>(i);
-    stage_us_[i] = &metrics_.GetHistogram(
-        StrFormat("tcf_query_stage_%.*s_us",
-                  static_cast<int>(QueryStageName(stage).size()),
-                  QueryStageName(stage).data()),
-        std::string("Wall microseconds spent in the ") +
-            std::string(QueryStageName(stage)) + " stage (shard sums)");
-  }
 
   // Each shard is a full QueryService with a private registry, cache,
   // and slow log. The router's pool provides ExecuteBatch fan-out;
@@ -170,21 +152,6 @@ ShardedQueryService::ShardedQueryService(
           return static_cast<double>(cache_stats().admission_rejects);
         });
   }
-  stats_.RegisterMetrics(&metrics_);
-  metrics_.RegisterCallback(
-      "tcf_query_latency_p99_us",
-      "p99 end-to-end query latency, interpolated from the "
-      "tcf_query_total_us buckets (0 until a traced query lands)",
-      MetricsRegistry::CallbackKind::kGauge,
-      [this] { return HistogramQuantile(query_total_us_.Fold(), 0.99); });
-}
-
-bool ShardedQueryService::ShouldTrace() {
-  if (!options_.tracing) return false;
-  if (options_.trace_sample_every <= 1) return true;
-  return trace_clock_.fetch_add(1, std::memory_order_relaxed) %
-             options_.trace_sample_every ==
-         0;
 }
 
 StatusOr<std::unique_ptr<ShardedQueryService>> ShardedQueryService::OpenSlices(
@@ -278,8 +245,9 @@ ShardedQueryService::Result ShardedQueryService::Execute(
   WallTimer timer;
   QueryTrace local_trace;
   QueryTrace* t =
-      trace != nullptr ? trace : (ShouldTrace() ? &local_trace : nullptr);
-  queries_total_.Increment();
+      trace != nullptr ? trace
+                       : (instruments_.ShouldTrace() ? &local_trace : nullptr);
+  instruments_.CountExecute();
   const std::vector<size_t> relevant = RelevantShards(query.items);
   shard_queries_total_.Increment(relevant.size());
   fanout_.Record(static_cast<double>(relevant.size()));
@@ -331,27 +299,20 @@ ShardedQueryService::Result ShardedQueryService::Execute(
   }
 
   const double us = timer.Micros();
+  if (t != nullptr) {
+    t->deadline_exceeded = result->deadline_exceeded;
+    t->shards_probed = relevant.size();
+    t->updates_applied = updates_applied();
+    t->total_us = us;
+  }
   if (result->deadline_exceeded) {
     // Partial work, not an answer (see QueryService::Execute). The
     // single-owner shard already recorded its own deadline counter;
     // this one feeds the router's STATS/metrics, which is what the
     // transport reports.
-    stats_.RecordDeadlineExceeded();
-    if (t != nullptr) {
-      t->deadline_exceeded = true;
-      t->shards_probed = relevant.size();
-      t->updates_applied = updates_applied();
-      t->total_us = us;
-      RecordTrace(query, *t);
-    }
-    return result;
-  }
-  stats_.RecordQuery(us, result->trusses.size());
-  if (t != nullptr) {
-    t->shards_probed = relevant.size();
-    t->updates_applied = updates_applied();
-    t->total_us = us;
-    RecordTrace(query, *t);
+    instruments_.RecordExpired(query, t);
+  } else {
+    instruments_.RecordAnswered(query, us, result->trusses.size(), t);
   }
   return result;
 }
@@ -484,25 +445,11 @@ ResultCacheStats ShardedQueryService::cache_stats() const {
 }
 
 ServeReport ShardedQueryService::Report() const {
-  ServeReport report = stats_.Report(cache_stats());
+  ServeReport report = instruments_.Report(cache_stats());
   report.shards = shards_.size();
   report.shard_queries = shard_queries_total_.Value();
   report.shard_reload_ms = shard_reload_ms_.Value();
   return report;
-}
-
-void ShardedQueryService::RecordTrace(const ServeQuery& query,
-                                      const QueryTrace& trace) {
-  query_total_us_.Record(trace.total_us);
-  for (const QueryStage stage :
-       {QueryStage::kCacheProbe, QueryStage::kCompose, QueryStage::kWalk}) {
-    const double us = trace.stage_wall_us[static_cast<size_t>(stage)];
-    if (us > 0) stage_us_[static_cast<size_t>(stage)]->Record(us);
-  }
-  if (slow_log_.Qualifies(trace.total_us)) {
-    slow_queries_total_.Increment();
-    slow_log_.Record(EncodeQueryLine(dictionary_, query), trace);
-  }
 }
 
 }  // namespace tcf

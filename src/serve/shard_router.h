@@ -1,7 +1,6 @@
 #ifndef TCF_SERVE_SHARD_ROUTER_H_
 #define TCF_SERVE_SHARD_ROUTER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
-#include "serve/serve_stats.h"
 #include "tx/item_dictionary.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -139,13 +137,14 @@ class ShardedQueryService : public QueryBackend {
   const ItemDictionary& dictionary() const override { return dictionary_; }
   size_t num_threads() const override { return pool_.num_threads(); }
 
-  ServeStats& stats() override { return stats_; }
   /// Field-wise sum over the per-shard caches.
   ResultCacheStats cache_stats() const override;
   ServeReport Report() const override;
 
   MetricsRegistry& metrics() override { return metrics_; }
-  const SlowQueryLog& slow_log() const override { return slow_log_; }
+  const SlowQueryLog& slow_log() const override {
+    return instruments_.slow_log();
+  }
   bool tracing_enabled() const override { return options_.tracing; }
 
   size_t num_shards() const { return shards_.size(); }
@@ -186,35 +185,24 @@ class ShardedQueryService : public QueryBackend {
       const std::vector<Result>& parts, size_t max_results,
       const Deadline& deadline);
 
-  /// Trace sampling, as in QueryService::ShouldTrace.
-  bool ShouldTrace();
-
-  void RecordTrace(const ServeQuery& query, const QueryTrace& trace);
-
   // The registry is declared first (destroyed last): its callback
-  // instruments read the shard caches and stats at scrape time.
+  // instruments read the shard caches at scrape time.
   MetricsRegistry metrics_;
-  SlowQueryLog slow_log_;
   ItemDictionary dictionary_;
   QueryServiceOptions options_;
+  QueryInstruments instruments_;
   std::unique_ptr<ShardPartitioner> partitioner_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<QueryService>> shards_;
-  ServeStats stats_;
-  std::atomic<uint64_t> trace_clock_{0};      // ShouldTrace clock
   std::atomic<uint64_t> updates_applied_{0};  // incremental swaps so far
 
   // Router-level instruments (the shard services keep their own
   // registries; TcpServer scrapes only this one).
-  Counter& queries_total_;
   Counter& shard_queries_total_;
-  Counter& slow_queries_total_;
-  Histogram& query_total_us_;
   Histogram& fanout_;
   Gauge& shard_reload_ms_;
   std::vector<Counter*> per_shard_queries_;
   std::vector<Gauge*> per_shard_reload_ms_;
-  std::array<Histogram*, kNumQueryStages> stage_us_;
 };
 
 }  // namespace tcf

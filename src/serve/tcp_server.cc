@@ -110,6 +110,7 @@ TcpServer::TcpServer(QueryBackend& service, const TcpServerOptions& options)
           "tcf_server_pending_units",
           "Request units queued or executing in the TCP server "
           "(the load-shedding pressure signal)")),
+      counters_(service.metrics()),
       pool_(options.num_threads == 0 ? 1 : options.num_threads) {}
 
 TcpServer::~TcpServer() { Shutdown(); }
@@ -234,7 +235,7 @@ void TcpServer::Shutdown() {
     // connection must leave it at zero, not a phantom backlog.
     DropQueued(*conn);
     ::close(fd);
-    service_.stats().RecordConnectionClosed();
+    counters_.connections_active.Add(-1);
   }
   conns_.clear();
   {
@@ -335,7 +336,9 @@ void TcpServer::AcceptReady() {
     conn->peer_ip = PeerIpOf(peer);
     conn->interest = EPOLLIN;
     conns_.emplace(fd, std::move(conn));
-    service_.stats().RecordConnectionOpened();
+    counters_.connections_accepted.Increment();
+    counters_.connections_active.Add(1);
+    counters_.connections_peak.SetMax(counters_.connections_active.Value());
     TCF_LOG(Debug) << "accepted connection fd=" << fd << " ("
                    << conns_.size() << " open)";
   }
@@ -508,7 +511,7 @@ bool TcpServer::AdmitClient(const std::string& peer_ip, double cost,
       }
       if (oldest != clients_.end()) clients_.erase(oldest);
     }
-    service_.stats().SetClientsTracked(clients_.size());
+    counters_.clients_tracked.Set(static_cast<double>(clients_.size()));
   }
   const double elapsed =
       std::chrono::duration<double>(now - rec.last_refill).count();
@@ -576,7 +579,7 @@ void TcpServer::ExecuteUnits(Conn* conn, std::vector<Unit> units) {
       // Over the per-client budget (a BATCH/UPDATE body costs its line
       // count, so batching cannot launder a flood). The hint tells a
       // well-behaved client exactly how long to back off.
-      service_.stats().RecordRateLimited();
+      counters_.rate_limited.Increment();
       response = EncodeErrHeader(Status::RateLimited(
           StrFormat("client %s over %g req/s; retry in %.0f ms",
                     conn->peer_ip.c_str(), options_.rate_limit_qps,
@@ -589,7 +592,8 @@ void TcpServer::ExecuteUnits(Conn* conn, std::vector<Unit> units) {
     } else {
       response = HandleRequest(*unit.request, &quit);
     }
-    service_.stats().RecordNetworkBytes(unit.wire_bytes, response.size());
+    counters_.bytes_in.Increment(unit.wire_bytes);
+    counters_.bytes_out.Increment(response.size());
     // One unit per run is the usual case: its reply is handed on, not
     // copied, here and at each hop to the socket.
     AppendOrTake(responses, response);
@@ -708,7 +712,7 @@ void TcpServer::CloseConn(Conn& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   conns_.erase(fd);  // destroys conn; the reference is dead now
-  service_.stats().RecordConnectionClosed();
+  counters_.connections_active.Add(-1);
   TCF_LOG(Debug) << "closed connection fd=" << fd << " (" << conns_.size()
                  << " open)";
   if (accept_paused_) {
@@ -776,7 +780,8 @@ std::string TcpServer::HandleRequest(const Request& request, bool* quit) {
       }
       const size_t nodes = *reloaded;
       const double reload_ms = reload_timer.Millis();
-      service_.stats().RecordReload(reload_ms);
+      counters_.reloads.Increment();
+      counters_.last_reload_ms.Set(reload_ms);
       TCF_LOG(Info) << "RELOAD " << request.reload_path << ": " << nodes
                     << " nodes swapped in over live traffic in " << reload_ms
                     << " ms";
@@ -842,7 +847,7 @@ std::string TcpServer::HandleQuery(const Request& request) {
   const QueryBackend::Result result = service_.Execute(*query);
   if (result->deadline_exceeded) {
     if (shed) {
-      service_.stats().RecordShed();
+      counters_.shed.Increment();
       response = EncodeErrHeader(Status::RateLimited(StrFormat(
           "overloaded (%zu pending units >= watermark %zu): cold query "
           "walk shed; retry later or narrow the query",
@@ -973,9 +978,12 @@ std::string TcpServer::HandleUpdate(const std::vector<std::string>& lines) {
     response += '\n';
     return response;
   }
-  service_.stats().RecordUpdate(outcome->transactions, outcome->edges,
-                                outcome->dirty_items,
-                                outcome->shards_swapped, outcome->apply_ms);
+  counters_.updates.Increment();
+  counters_.update_txs.Increment(outcome->transactions);
+  counters_.update_edges.Increment(outcome->edges);
+  counters_.update_dirty_items.Increment(outcome->dirty_items);
+  counters_.update_shards_swapped.Increment(outcome->shards_swapped);
+  counters_.last_update_ms.Set(outcome->apply_ms);
   TCF_LOG(Info) << "UPDATE: " << outcome->transactions << " txs, "
                 << outcome->edges << " edges -> " << outcome->dirty_items
                 << " dirty items, " << outcome->changed_roots
@@ -1018,7 +1026,9 @@ std::string TcpServer::HandleBatch(const Request& header,
   }
   const std::vector<QueryBackend::Result> results =
       service_.ExecuteBatch(queries);
-  service_.stats().RecordBatch(lines.size());
+  counters_.batches.Increment();
+  counters_.batch_queries.Increment(lines.size());
+  counters_.batch_max_depth.SetMax(static_cast<double>(lines.size()));
 
   std::string response;
   for (size_t i = 0; i < lines.size(); ++i) {

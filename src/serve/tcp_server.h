@@ -14,6 +14,7 @@
 
 #include "serve/line_protocol.h"
 #include "serve/query_backend.h"
+#include "serve/serve_stats.h"
 #include "util/deadline.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -116,7 +117,7 @@ inline constexpr size_t kShedLargeQueryItems = 4;
 /// Shutdown is graceful and idempotent: the loop stops accepting and
 /// exits, in-flight executions drain, and every remaining connection is
 /// closed before `Shutdown()` returns. Connection, byte, and batch
-/// counters are folded into the service's ServeStats.
+/// counters are recorded into the service's MetricsRegistry.
 class TcpServer {
  public:
   /// `service` must outlive the server.
@@ -279,6 +280,9 @@ class TcpServer {
   /// (tcf_server_pending_units). A Gauge, not a callback: the registry
   /// outlives this server, so a callback capturing `this` would dangle.
   Gauge& pending_units_gauge_;
+  /// Connection, byte, batch, reload, update and overload counters,
+  /// recorded straight into the service registry.
+  ServeCounters counters_;
   ThreadPool pool_;
   std::thread loop_thread_;
   int listen_fd_ = -1;

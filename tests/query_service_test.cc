@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -458,6 +462,46 @@ TEST(QueryServiceTest, ParseQueryLineHardening) {
     EXPECT_NE(s.message().find("col "), std::string::npos)
         << "'" << line << "' -> " << s;
   }
+}
+
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+/// Bytes the main arena has handed out, heap chunks and mmapped ones.
+size_t AllocatedBytes() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+#define TCF_HAVE_MALLINFO2 1
+#endif
+
+// A long-lived server keeps its memory flat: answering a query records
+// into fixed-size instruments, never a per-query sample, so the
+// footprint after 10N answered queries is the footprint after N.
+TEST(QueryServiceTest, FootprintStaysFlatAcrossAnsweredQueries) {
+#ifndef TCF_HAVE_MALLINFO2
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+  DatabaseNetwork net = MakeFigureOneNetwork();
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  options.cache_bytes = 0;
+  QueryService service(TcTree::Build(net), net.dictionary(), options);
+  const std::vector<ServeQuery> workload = MakeWorkload(net, 64, 3);
+  constexpr size_t kN = 10000;
+  auto answer = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      (void)service.Execute(workload[i % workload.size()]);
+    }
+  };
+  answer(kN);
+  const size_t after_n = AllocatedBytes();
+  answer(9 * kN);
+  const size_t after_10n = AllocatedBytes();
+  ASSERT_EQ(service.Report().queries, 10 * kN);
+  EXPECT_LE(after_10n, after_n + 16 * 1024)
+      << "grew " << (after_10n - after_n) << " bytes over " << 9 * kN
+      << " answered queries";
+#endif
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -193,24 +195,29 @@ TEST(TcfiServeTest, WatcherSkipsTornTcfiViaHeaderProbe) {
   FileWatcher watcher(service, options);
   ASSERT_TRUE(watcher.Start().ok());
 
+  // Each version lands by rename from a sibling temp file, so the 5 ms
+  // poller never sees the empty file a truncating rewrite passes
+  // through (no TCFI magic: the TCFT loader would count a failure).
+  const auto replace = [&path](std::string_view bytes) {
+    const std::string tmp = path + ".tmp";
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+  };
+
   // A torn TCFI write (magic present, body incomplete): the header
   // probe rejects it without a load attempt — counted as skipped, not
   // as a failure — and the old snapshot keeps serving.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(good.data(), static_cast<std::streamsize>(good.size() / 2));
-  }
+  replace(std::string_view(good).substr(0, good.size() / 2));
   ASSERT_TRUE(WaitFor([&] { return watcher.skipped() >= 1; }));
   EXPECT_EQ(watcher.reloads(), 0u);
   EXPECT_EQ(watcher.failures(), 0u);
   EXPECT_EQ(service.snapshot()->num_nodes(), tree.num_nodes());
 
-  // The writer finishes (rename-into-place semantics simulated by the
-  // full rewrite): the watcher swaps the mapped snapshot in.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(good.data(), static_cast<std::streamsize>(good.size()));
-  }
+  // The writer finishes: the watcher swaps the mapped snapshot in.
+  replace(good);
   ASSERT_TRUE(WaitFor([&] { return watcher.reloads() >= 1; }));
   ASSERT_TRUE(WaitFor([&] { return service.snapshot()->mapped(); }));
   const ServeQuery probe{Itemset({0}), 0.05};

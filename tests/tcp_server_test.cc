@@ -14,7 +14,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,6 +26,7 @@
 #include "core/tc_tree.h"
 #include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
+#include "core/tc_tree_update.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/line_protocol.h"
@@ -1036,8 +1040,8 @@ TEST(TcpServerTest, MetricsScrapeOverTheWire) {
   auto scrape = client->Metrics();
   ASSERT_TRUE(scrape.ok()) << scrape.status();
   // Valid Prometheus text exposition: typed families, a counter that
-  // saw the query, the transport stage histograms, and the callback
-  // instruments over ServeStats.
+  // saw the query, the transport stage histograms, and the transport
+  // counters.
   EXPECT_NE(scrape->find("# TYPE tcf_queries_total counter"),
             std::string::npos);
   EXPECT_NE(scrape->find("tcf_queries_total 1\n"), std::string::npos)
@@ -1124,7 +1128,7 @@ TEST(TcpServerTest, ExplainOverTheWire) {
 }
 
 TEST(TcpServerTest, TracingOffStillServesMetricsAndExplain) {
-  // tracing=false strips histograms/slow-ring sampling from the hot
+  // tracing=false strips stage spans/slow-ring sampling from the hot
   // path, but EXPLAIN passes its own trace explicitly and counters are
   // unconditional — both verbs must keep answering.
   DatabaseNetwork net = MakeFigureOneNetwork();
@@ -1152,9 +1156,13 @@ TEST(TcpServerTest, TracingOffStillServesMetricsAndExplain) {
   // Counters advance untraced (1 query + 1 explain = 2 executes)...
   EXPECT_NE(scrape->find("tcf_queries_total 2\n"), std::string::npos)
       << *scrape;
-  // ...but the per-query histograms stay empty for untraced requests:
-  // only the explicit EXPLAIN trace recorded one sample.
-  EXPECT_NE(scrape->find("tcf_query_total_us_count 1\n"),
+  // ...and so does the latency histogram, traced or not, while the
+  // stage histograms stay empty for untraced requests: only the
+  // explicit EXPLAIN trace recorded a stage sample.
+  EXPECT_NE(scrape->find("tcf_query_total_us_count 2\n"),
+            std::string::npos)
+      << *scrape;
+  EXPECT_NE(scrape->find("tcf_query_stage_cache_probe_us_count 1\n"),
             std::string::npos)
       << *scrape;
   EXPECT_TRUE(client->Quit().ok());
@@ -1368,6 +1376,117 @@ TEST(TcpServerTest, SustainedOverloadSoakStaysCleanAndBounded) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_TRUE(client->Quit().ok());
   server.Shutdown();
+}
+
+// --- operator-facing contracts: the METRICS family list (name and
+// TYPE) and the STATS keys in wire order. tests/golden/ carries both,
+// captured from a server that has answered a query, a BATCH, an UPDATE,
+// a RELOAD, a rate-limited request and a shed burst. Regeneration is
+// deliberate, never automatic:
+//
+//   TCF_REGEN_GOLDEN=1 ./build/tcp_server_test --gtest_filter='*Golden*'
+
+std::string GoldenPath(const std::string& name) {
+  return std::string(TCF_SOURCE_DIR) + "/tests/golden/" + name;
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// `name type` per METRICS family, sorted, one per line.
+std::string MetricFamilies(const std::string& exposition) {
+  std::vector<std::string> families;
+  for (const std::string& line : Split(exposition, '\n')) {
+    if (StartsWith(line, "# TYPE ")) families.push_back(line.substr(7));
+  }
+  std::sort(families.begin(), families.end());
+  return Join(families, "\n") + "\n";
+}
+
+void ExpectMatchesGolden(const std::string& name, const std::string& text) {
+  const std::string path = GoldenPath(name);
+  if (std::getenv("TCF_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    return;
+  }
+  EXPECT_EQ(ReadFileOrEmpty(path), text)
+      << path << " drifted. If the change is deliberate, regenerate with "
+      << "TCF_REGEN_GOLDEN=1 and document it in docs/observability.md / "
+      << "docs/serve-protocol.md.";
+}
+
+TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
+  DatabaseNetwork net = MakeRandomNetwork({.num_vertices = 24,
+                                           .edge_prob = 0.4,
+                                           .num_items = 8,
+                                           .tx_per_vertex = 8,
+                                           .seed = 11});
+  TcTree tree = TcTree::Build(net);
+  const std::string index_path = StrFormat(
+      "/tmp/tcf_golden_reload_%d.idx", static_cast<int>(::getpid()));
+  ASSERT_TRUE(SaveTcTreeToFile(tree, index_path).ok());
+  QueryService service(tree, net.dictionary(), {});
+  IndexUpdater updater(
+      std::move(net), std::move(tree),
+      [&service](TcTree t, const std::vector<ItemId>& changed_roots,
+                 const std::vector<ItemId>& dirty_items) {
+        return service.ApplyUpdatedSnapshot(std::move(t), changed_roots,
+                                            dirty_items);
+      });
+  TcpServerOptions options;
+  options.updater = &updater;
+  options.num_threads = 1;  // one worker: a pipelined burst piles up
+  options.shed_watermark = 2;
+  // Every request below spends one token per line; the burst covers
+  // exactly them, so the last query is refused.
+  options.rate_limit_qps = 0.001;
+  options.rate_limit_burst = 18;
+  TcpServer server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Query("0.05;i0,i1,i2").ok());               // 1
+  ASSERT_TRUE(client->Batch({"0.1;i0", "0.1;i1"}).ok());          // 2
+  auto updated = client->Update({"tx 0 i0,i1"});                  // 1
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  auto reloaded = client->Reload(index_path);                     // 1
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+
+  // 1 + 12 pipelined lines: cold walks queued behind each other shed.
+  const int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  RawReader reader(fd);
+  std::string burst = "0.05;i0,i1,i2\n";
+  for (int i = 0; i < 12; ++i) burst += "0.02;i1,i2,i3,i4,i5,i6\n";
+  ASSERT_TRUE(RawSend(fd, burst));
+  for (int i = 0; i < 13; ++i) {
+    auto header = ParseResponseHeader(reader.ReadLine());
+    ASSERT_TRUE(header.ok()) << header.status();
+    for (size_t l = 0; l < header->payload_lines; ++l) reader.ReadLine();
+  }
+  ::close(fd);
+
+  auto limited = client->Query("0.1;i0");
+  EXPECT_TRUE(limited.status().IsRateLimited()) << limited.status();
+
+  auto scrape = client->Metrics();
+  ASSERT_TRUE(scrape.ok()) << scrape.status();
+  ExpectMatchesGolden("metrics_families.txt", MetricFamilies(*scrape));
+
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  std::string keys;
+  for (const auto& [key, value] : *stats) keys += key + "\n";
+  ExpectMatchesGolden("stats_keys.txt", keys);
+
+  EXPECT_TRUE(client->Quit().ok());
+  server.Shutdown();
+  std::remove(index_path.c_str());
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 #    ephemeral port, drive it with `tcf client` (ping, queries, the
 #    workload both as one-request round trips and as pipelined BATCH
 #    exchanges, STATS — including the subset-composable cache's
-#    cache_partial_hits counter going positive — a METRICS scrape whose
+#    cache_partial_hits counter going positive, `queries` advancing by
+#    exactly the workload's line count and ordered nonzero
+#    percentiles — a METRICS scrape whose
 #    query counter advances across a query, an EXPLAIN carrying every
 #    stage span, a RELOAD of a rebuilt index, QUIT), prove the server
 #    survives an abruptly closed
@@ -142,15 +144,33 @@ fi
 # The whole workload over the wire, one request per round trip. The
 # workload's 2-item queries overlap heavily without repeating exactly,
 # so the subset-composable cache must report partial reuse afterwards.
+# STATS is a view over the server's metrics registry: `queries` must
+# advance by exactly the workload's line count, and the percentiles
+# interpolated from its latency histogram must be positive and ordered.
+Q_BEFORE="$("$TCF" client --port="$PORT" --stats \
+            | awk '$1 == "queries" { print $2 }')"
 "$TCF" client --port="$PORT" --workload="$TMP/workload.txt"
-"$TCF" client --port="$PORT" --stats | awk '
-  $1 == "cache_partial_hits" {
-    if ($2 + 0 > 0) { found = 1 }
-  }
+WORKLOAD_LINES="$(grep -vc '^#' "$TMP/workload.txt")"
+"$TCF" client --port="$PORT" --stats \
+  | awk -v before="$Q_BEFORE" -v lines="$WORKLOAD_LINES" '
+  { v[$1] = $2 + 0 }
   END {
-    if (!found) { print "FAIL: no partial cache hits after the workload";
-                  exit 1 }
+    if (v["cache_partial_hits"] <= 0) {
+      print "FAIL: no partial cache hits after the workload"; exit 1
+    }
     print "OK: composable cache reported partial hits over the wire"
+    if (v["queries"] - before != lines) {
+      printf "FAIL: STATS queries advanced by %d over a %d-line workload\n",
+             v["queries"] - before, lines
+      exit 1
+    }
+    if (!(v["p50_us"] > 0 && v["p50_us"] <= v["p90_us"] &&
+          v["p90_us"] <= v["p99_us"] && v["p99_us"] <= v["max_us"])) {
+      print "FAIL: STATS percentiles are not 0 < p50 <= p90 <= p99 <= max:",
+            v["p50_us"], v["p90_us"], v["p99_us"], v["max_us"]
+      exit 1
+    }
+    print "OK: STATS counted every workload query; percentiles ordered"
   }'
 
 # The same workload as pipelined BATCH exchanges (64 queries per round

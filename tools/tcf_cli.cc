@@ -14,9 +14,9 @@
 //       Every tree layer builds in parallel over T workers (default:
 //       hardware concurrency; --threads is accepted as a legacy alias).
 //       --format picks the on-disk format (default: tcfi when --out
-//       ends in .tcfi, else the tcft text format): tcfi is the
-//       pointer-free binary layout (docs/index-format.md) that query
-//       and serve mmap zero-copy instead of parsing. --slices=N
+//       ends in .tcfi, else tcft, the streaming binary format): tcfi
+//       is the pointer-free binary layout (docs/index-format.md) that
+//       query and serve mmap zero-copy instead of parsing. --slices=N
 //       (tcfi only) additionally writes the N per-shard slice files
 //       `FILE.shard<i>-of-<N>` that `serve --shards=N` maps directly.
 //   query   --in=FILE [--index=FILE.idx] [--alpha=A] [--items=a,b,c]
@@ -812,27 +812,18 @@ int CmdServe(const Args& args) {
       {"pass", "queries", "time(s)", "q/s", "p50(us)", "p99(us)", "hit rate"});
   ServeReport last;
   for (size_t pass = 0; pass < repeat; ++pass) {
-    const ResultCacheStats before = service.cache_stats();
-    service.stats().Reset();
+    const ServeReport before = service.Report();
     for (const std::vector<ServeQuery>& b : batches) {
       service.ExecuteBatch(b);
     }
-    last = service.Report();
-    // Scope the cumulative cache counters to this pass (entries/bytes
-    // are point-in-time and stay as-is), so the final report agrees
-    // with the per-pass table.
-    ResultCacheStats delta = last.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.inserts -= before.inserts;
-    delta.evictions -= before.evictions;
-    last.cache = delta;
+    // Scoped to this pass, so the final report agrees with the table.
+    last = service.Report().Since(before);
     passes.AddRow({pass == 0 ? "cold" : StrFormat("warm%zu", pass),
                    TextTable::Num(last.queries),
                    TextTable::Num(last.wall_seconds),
                    TextTable::Num(last.qps), TextTable::Num(last.p50_us),
                    TextTable::Num(last.p99_us),
-                   TextTable::Num(delta.HitRate())});
+                   TextTable::Num(last.cache.HitRate())});
   }
   passes.Print(std::cout);
   std::printf("\nfinal pass report:\n");
