@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
+#include "core/tcfi_format.h"
 #include "gen/syn_generator.h"
 #include "net/network_io.h"
 #include "util/timer.h"
@@ -42,7 +42,7 @@ int main() {
   std::printf("reloaded: %zu vertices, %zu edges, %zu items\n\n",
               net.num_vertices(), net.num_edges(), net.num_items());
 
-  // ----- 2. Build the index once, persist it, reload it. ----------------
+  // ----- 2. Build the index once, persist it, map it back. --------------
   WallTimer build_timer;
   TcTree built = TcTree::Build(net, {.num_threads = 4});
   std::printf("TC-Tree built: %zu nodes, %llu indexed edges, %.2f s\n",
@@ -50,20 +50,20 @@ int main() {
               static_cast<unsigned long long>(built.TotalIndexedEdges()),
               build_timer.Seconds());
 
-  const std::string index_path = "/tmp/tcf_example_network.idx";
-  if (Status s = SaveTcTreeToFile(built, index_path); !s.ok()) {
+  const std::string index_path = "/tmp/tcf_example_network.tcfi";
+  if (Status s = SaveTcTreeBinary(built, index_path); !s.ok()) {
     std::fprintf(stderr, "index save failed: %s\n", s.ToString().c_str());
     return 1;
   }
   WallTimer reload_timer;
-  auto reloaded = LoadTcTreeFromFile(index_path);
-  if (!reloaded.ok()) {
-    std::fprintf(stderr, "index load failed: %s\n",
-                 reloaded.status().ToString().c_str());
+  auto mapped = MapTcTree(index_path);
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "index map failed: %s\n",
+                 mapped.status().ToString().c_str());
     return 1;
   }
-  TcTree tree = std::move(*reloaded);
-  std::printf("index persisted to %s and reloaded in %.3f s\n",
+  const MappedTcTree& tree = *mapped;
+  std::printf("index persisted to %s and mapped back in %.3f s\n",
               index_path.c_str(), reload_timer.Seconds());
   const double alpha_star = CohesionToDouble(tree.MaxAlphaOverNodes());
   std::printf("nontrivial query range: alpha in [0, %.4f)\n\n", alpha_star);

@@ -95,9 +95,9 @@ class TcTree {
   static TcTree Build(const DatabaseNetwork& net,
                       const TcTreeOptions& options = {});
 
-  /// Reassembles a tree from an explicit node arena (index persistence;
-  /// see tc_tree_io.h). `nodes[0]` must be the root; parent/children
-  /// links are validated.
+  /// Reassembles a tree from an explicit node arena (MaterializeTcTree
+  /// over a mapped index, PartitionTcTree). `nodes[0]` must be the
+  /// root; parent/children links are validated.
   static TcTree FromNodes(std::deque<Node> nodes);
 
   const Node& node(NodeId id) const { return nodes_[id]; }

@@ -113,7 +113,8 @@ Status WriteSection(std::ofstream& os, uint64_t offset, const void* data,
 Status ValidateHeader(const TcfiHeader& header, uint64_t actual_size) {
   static const char kMagic[4] = {'T', 'C', 'F', 'I'};
   if (std::memcmp(header.magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad tcfi magic");
+    return Status::Corruption(
+        "bad tcfi magic: not a TCFI index file (rebuild it with `tcf index`)");
   }
   if (header.endian != kTcfiEndianMarker) {
     const uint32_t swapped = __builtin_bswap32(header.endian);
@@ -508,13 +509,6 @@ Status ProbeTcfiFile(const std::string& path) {
   return ValidateHeader(header, actual_size);
 }
 
-bool LooksLikeTcfiFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  char magic[4] = {0, 0, 0, 0};
-  if (!f.is_open() || !f.read(magic, 4)) return false;
-  return std::memcmp(magic, "TCFI", 4) == 0;
-}
-
 TcTree MaterializeTcTree(const MappedTcTree& mapped) {
   const size_t total = mapped.num_nodes() + 1;
   std::deque<TcTree::Node> nodes;
@@ -551,6 +545,16 @@ TcTree MaterializeTcTree(const MappedTcTree& mapped) {
 std::string TcfiSlicePath(const std::string& base, size_t shard,
                           size_t num_shards) {
   return StrFormat("%s.shard%zu-of-%zu", base.c_str(), shard, num_shards);
+}
+
+bool TcfiSlicesExist(const std::string& base, size_t num_shards) {
+  for (size_t s = 0; s < num_shards; ++s) {
+    struct stat st;
+    if (::stat(TcfiSlicePath(base, s, num_shards).c_str(), &st) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Status SaveTcfiShardSlices(TcTree tree, const std::string& base,

@@ -14,18 +14,14 @@
 
 namespace tcf {
 
-/// \brief TCFI: the zero-copy, mmap-able index snapshot format.
+/// \brief TCFI: the one on-disk index format, zero-copy and mmap-able.
 ///
-/// The streaming "TCFT" format (core/tc_tree_io.h) deserializes the
-/// whole tree — per-field reads, per-node validation and reassembly —
-/// so a RELOAD pays seconds of parse for an index the builder already
-/// laid out perfectly once. TCFI instead persists the tree as
-/// pointer-free arena/CSR sections that *are* the serving layout:
-/// loading is `mmap` + an O(1) header check (plus optional per-section
-/// CRCs and an O(nodes) bounds scan), queries walk the mapped arenas
-/// directly, and N server processes on one box share a single physical
-/// copy of the index through the page cache. TCFT stays beside it as
-/// the debug/interchange format.
+/// TCFI persists the tree as pointer-free arena/CSR sections that *are*
+/// the serving layout: loading is `mmap` + an O(1) header check (plus
+/// optional per-section CRCs and an O(nodes) bounds scan), queries walk
+/// the mapped arenas directly, and N server processes on one box share
+/// a single physical copy of the index through the page cache. Nothing
+/// is parsed or reassembled on load.
 ///
 /// File layout (all integers little-endian on the writing CPU; the
 /// `endian` header field rejects foreign-order files at load):
@@ -58,7 +54,7 @@ namespace tcf {
 /// appends new section kinds (old readers must reject unknown section
 /// counts, so additions bump the version); any change to an existing
 /// record layout bumps the version and drops support for writing the
-/// old one — `tcf index` rewrites cheaply from TCFT or a rebuild.
+/// old one — a file the reader rejects is rebuilt with `tcf index`.
 ///
 /// Writers stream to `path + ".tmp"` and rename into place, so a
 /// watcher (serve/file_watcher.h) never maps a half-written file; even
@@ -167,8 +163,7 @@ struct TcfiMapOptions {
 };
 
 /// Serializes `tree` into the TCFI layout at `path` (write to
-/// `path + ".tmp"`, fsync-free rename into place). The text/streaming
-/// TCFT format (SaveTcTreeToFile) remains for debugging.
+/// `path + ".tmp"`, fsync-free rename into place).
 Status SaveTcTreeBinary(const TcTree& tree, const std::string& path,
                         const TcfiWriteOptions& options = {});
 
@@ -274,7 +269,9 @@ class MappedTcTree {
 /// — bad magic, foreign endianness, unsupported version, header or
 /// section CRC mismatch, truncation, out-of-bounds arena slice —
 /// returns a clean Status (never crashes, property-tested in
-/// tests/tcfi_corrupt_test.cc).
+/// tests/tcfi_corrupt_test.cc). This is the only index loader: a file
+/// in any other format fails the magic check with a Corruption that
+/// says to rebuild it with `tcf index`.
 StatusOr<MappedTcTree> MapTcTree(const std::string& path,
                                  const TcfiMapOptions& options = {});
 
@@ -283,10 +280,6 @@ StatusOr<MappedTcTree> MapTcTree(const std::string& path,
 /// the bytes actually on disk. This is how the file watcher skips a
 /// half-written `.tcfi` without attempting (and miscounting) a load.
 Status ProbeTcfiFile(const std::string& path);
-
-/// True if the file at `path` starts with the TCFI magic (cheap format
-/// sniff; does not validate anything else).
-bool LooksLikeTcfiFile(const std::string& path);
 
 /// Rebuilds a heap-owned TcTree from the mapped arenas (FromParts +
 /// FromNodes). Answers and re-serialized bytes are identical to the
@@ -297,6 +290,11 @@ TcTree MaterializeTcTree(const MappedTcTree& mapped);
 /// Canonical per-shard slice filename: `base` + ".shard<i>-of-<n>".
 std::string TcfiSlicePath(const std::string& base, size_t shard,
                           size_t num_shards);
+
+/// True when all `num_shards` slice files of `base` exist. Whether they
+/// map is MapTcTree's to say: a bad slice fails its load, it does not
+/// send the caller back to the whole-tree file.
+bool TcfiSlicesExist(const std::string& base, size_t num_shards);
 
 /// Partitions a tree (core/partition.h semantics — pattern owned by the
 /// shard of its minimum item, HashShardPartitioner as in

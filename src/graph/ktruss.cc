@@ -43,7 +43,7 @@ std::vector<Edge> KTrussEdges(const Graph& g, uint32_t k) {
   return out;
 }
 
-std::vector<uint32_t> TrussDecomposition(const Graph& g) {
+std::vector<uint32_t> EdgeTrussness(const Graph& g) {
   std::vector<uint32_t> support = CountEdgeTriangles(g);
   std::vector<uint8_t> alive(g.num_edges(), 1);
   std::vector<uint32_t> trussness(g.num_edges(), 2);

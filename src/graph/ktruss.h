@@ -20,7 +20,9 @@ std::vector<Edge> KTrussEdges(const Graph& g, uint32_t k);
 
 /// Truss decomposition: for every edge, the largest k such that the edge
 /// belongs to the k-truss ("trussness"). Edges outside any triangle get 2.
-std::vector<uint32_t> TrussDecomposition(const Graph& g);
+/// (Not core/decomposition.h's TrussDecomposition, the cohesion-level
+/// chain of one pattern truss.)
+std::vector<uint32_t> EdgeTrussness(const Graph& g);
 
 /// Exhaustive fixpoint reference for tests: repeatedly delete edges with
 /// subgraph-support < k−2 until stable.

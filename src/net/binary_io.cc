@@ -7,7 +7,10 @@
 
 namespace tcf {
 
-namespace io_internal {
+namespace {
+
+constexpr char kMagic[4] = {'T', 'C', 'F', 'B'};
+constexpr uint32_t kVersion = 1;
 
 void WriteU32(std::ostream& os, uint32_t v) {
   char buf[4];
@@ -46,7 +49,8 @@ bool ReadU64(std::istream& is, uint64_t* v) {
   return true;
 }
 
-bool ReadString(std::istream& is, std::string* s, size_t max_len) {
+bool ReadString(std::istream& is, std::string* s,
+                size_t max_len = 1 << 20) {
   uint32_t len = 0;
   if (!ReadU32(is, &len)) return false;
   if (len > max_len) return false;
@@ -54,18 +58,6 @@ bool ReadString(std::istream& is, std::string* s, size_t max_len) {
   return static_cast<bool>(is.read(s->data(), len));
 }
 
-}  // namespace io_internal
-
-using io_internal::ReadString;
-using io_internal::ReadU32;
-using io_internal::ReadU64;
-using io_internal::WriteString;
-using io_internal::WriteU32;
-using io_internal::WriteU64;
-
-namespace {
-constexpr char kMagic[4] = {'T', 'C', 'F', 'B'};
-constexpr uint32_t kVersion = 1;
 }  // namespace
 
 Status SaveNetworkBinary(const DatabaseNetwork& net, std::ostream& os) {

@@ -28,17 +28,6 @@ Status SaveNetworkBinaryToFile(const DatabaseNetwork& net,
 StatusOr<DatabaseNetwork> LoadNetworkBinary(std::istream& is);
 StatusOr<DatabaseNetwork> LoadNetworkBinaryFromFile(const std::string& path);
 
-namespace io_internal {
-
-/// Little-endian scalar writers/readers shared with the TC-Tree codec.
-void WriteU32(std::ostream& os, uint32_t v);
-void WriteU64(std::ostream& os, uint64_t v);
-void WriteString(std::ostream& os, const std::string& s);
-bool ReadU32(std::istream& is, uint32_t* v);
-bool ReadU64(std::istream& is, uint64_t* v);
-bool ReadString(std::istream& is, std::string* s, size_t max_len = 1 << 20);
-
-}  // namespace io_internal
 }  // namespace tcf
 
 #endif  // TCF_NET_BINARY_IO_H_

@@ -30,6 +30,7 @@ FileWatcher::Fingerprint FileWatcher::Stat(const std::string& path) {
                 st.st_mtim.tv_nsec;
 #endif
   fp.size = static_cast<int64_t>(st.st_size);
+  fp.inode = static_cast<uint64_t>(st.st_ino);
   return fp;
 }
 
@@ -72,21 +73,19 @@ void FileWatcher::Loop() {
 
     const Fingerprint now = Stat(options_.path);
     if (!(now == last_seen_) && now.mtime_ns >= 0) {
-      // A changed TCFI file is probed first: the header carries its own
+      // A changed file is probed first: the header carries its own
       // checksum and the file size it expects, so a writer mid-copy is
       // detected with a 232-byte read instead of a failed full load.
       // Skips leave last_seen_ alone — the finished write's mtime bump
       // (or the next tick) retries.
-      if (LooksLikeTcfiFile(options_.path)) {
-        const Status probe = ProbeTcfiFile(options_.path);
-        if (!probe.ok()) {
-          skipped_.fetch_add(1, std::memory_order_acq_rel);
-          TCF_LOG(Warn) << "watch " << options_.path
-                        << ": tcfi header probe failed (write in "
-                        << "progress?): " << probe.ToString();
-          lock.lock();
-          continue;
-        }
+      const Status probe = ProbeTcfiFile(options_.path);
+      if (!probe.ok()) {
+        skipped_.fetch_add(1, std::memory_order_acq_rel);
+        TCF_LOG(Warn) << "watch " << options_.path
+                      << ": tcfi header probe failed (write in "
+                      << "progress?): " << probe.ToString();
+        lock.lock();
+        continue;
       }
       WallTimer timer;
       auto reloaded = backend_.ReloadFromFile(options_.path);
@@ -100,7 +99,8 @@ void FileWatcher::Loop() {
                       << " nodes swapped in over live traffic in " << ms
                       << " ms";
       } else {
-        // Likely a write in progress; leave last_seen_ so the next tick
+        // The header is whole but the body is not (a section checksum
+        // or bounds check failed); leave last_seen_ so the next tick
         // (or the finished write's mtime bump) retries.
         failures_.fetch_add(1, std::memory_order_acq_rel);
         TCF_LOG(Warn) << "watch " << options_.path

@@ -16,8 +16,7 @@ namespace tcf {
 
 /// Configuration of a FileWatcher.
 struct FileWatcherOptions {
-  /// Index file to watch — TCFT (core/tc_tree_io.h) or TCFI
-  /// (core/tcfi_format.h), sniffed per reload. Need not exist at
+  /// TCFI index file to watch (core/tcfi_format.h). Need not exist at
   /// Start(): the watcher arms on its first appearance.
   std::string path;
   /// Poll cadence. mtime polling (not inotify) keeps the watcher
@@ -33,14 +32,15 @@ struct FileWatcherOptions {
 /// pushing a reload, the server watches the artifact the index build
 /// pipeline writes and swaps every new version in through the same
 /// epoch-safe snapshot-swap path (full invalidation semantics, counted
-/// in `reloads`/`last_reload_ms` like a wire RELOAD), format-sniffed by
-/// `ReloadFromFile` — a `.tcfi` file installs as a zero-copy mapped
-/// snapshot. A half-written file is harmless: a TCFI file is *probed*
-/// first (header + checksum, a 232-byte read — ProbeTcfiFile) and a
+/// in `reloads`/`last_reload_ms` like a wire RELOAD) — `ReloadFromFile`
+/// installs the file as a zero-copy mapped snapshot. A half-written
+/// file is harmless: every changed file is *probed* first (header +
+/// checksum + size on disk, a 232-byte read — ProbeTcfiFile) and a
 /// failing probe is counted in `skipped`, not `failures`, with no load
-/// attempted; a non-TCFI file that fails the loader's validation counts
-/// a failure. Either way the watcher leaves `last_seen_` alone so the
-/// next tick (or the finished write's mtime bump) retries. Writers
+/// attempted; a file that passes the probe but fails to map (a bad
+/// section checksum, say) counts a failure. Either way the watcher
+/// leaves `last_seen_` alone so the next tick (or the finished write's
+/// mtime bump) retries. Writers
 /// should still prefer write-to-temp + rename (SaveTcTreeBinary does),
 /// which makes the swap atomic at the filesystem level.
 class FileWatcher {
@@ -74,12 +74,13 @@ class FileWatcher {
  private:
   /// (mtime ns, size) — enough to see every completed write, including
   /// same-size rewrites on filesystems with nanosecond timestamps.
+  /// The inode tells apart two same-size versions renamed into place
+  /// within one coarse mtime tick.
   struct Fingerprint {
     int64_t mtime_ns = -1;  // -1: file absent
     int64_t size = -1;
-    bool operator==(const Fingerprint& o) const {
-      return mtime_ns == o.mtime_ns && size == o.size;
-    }
+    uint64_t inode = 0;
+    bool operator==(const Fingerprint&) const = default;
   };
 
   static Fingerprint Stat(const std::string& path);

@@ -2,24 +2,16 @@
 
 #include <utility>
 
-#include "core/tc_tree_io.h"
 #include "core/tcfi_format.h"
 
 namespace tcf {
 
 StatusOr<size_t> QueryBackend::ReloadFromFile(const std::string& path) {
-  if (LooksLikeTcfiFile(path)) {
-    auto mapped = MapTcTree(path);
-    if (!mapped.ok()) return mapped.status();
-    TcTree tree = MaterializeTcTree(*mapped);
-    const size_t nodes = tree.num_nodes();
-    SwapSnapshot(std::move(tree));
-    return nodes;
-  }
-  auto tree = LoadTcTreeFromFile(path);
-  if (!tree.ok()) return tree.status();
-  const size_t nodes = tree->num_nodes();
-  SwapSnapshot(std::move(*tree));
+  auto mapped = MapTcTree(path);
+  if (!mapped.ok()) return mapped.status();
+  TcTree tree = MaterializeTcTree(*mapped);
+  const size_t nodes = tree.num_nodes();
+  SwapSnapshot(std::move(tree));
   return nodes;
 }
 

@@ -87,16 +87,14 @@ class QueryBackend {
   /// Installs a new tree snapshot under live traffic (RELOAD).
   virtual void SwapSnapshot(TcTree tree) = 0;
 
-  /// Reloads the index from `path` under live traffic and returns the
-  /// pattern-bearing node count installed. A `.tcfi` file (sniffed by
-  /// magic) takes the zero-copy path: mmap + O(1) validation + epoch
-  /// swap — no parse, no per-node heap build; anything else goes
-  /// through the streaming TCFT loader. Every RELOAD surface (the wire
-  /// verb, `--watch`, operational tooling) funnels through here so the
-  /// format dispatch lives in one place. The default implementation
-  /// works for any backend via SwapSnapshot (materializing a mapped
-  /// file); QueryService and ShardedQueryService override it to install
-  /// mapped snapshots directly.
+  /// Reloads the TCFI index at `path` under live traffic and returns
+  /// the pattern-bearing node count installed. Every RELOAD surface
+  /// (the wire verb, `--watch`, operational tooling) funnels through
+  /// here. A file MapTcTree rejects leaves the live snapshot untouched.
+  /// The default implementation works for any backend via SwapSnapshot
+  /// (materializing the mapped file); QueryService and
+  /// ShardedQueryService override it to install mapped snapshots
+  /// directly.
   virtual StatusOr<size_t> ReloadFromFile(const std::string& path);
 
   /// Installs an *incrementally updated* snapshot (the UPDATE verb /

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/cohesion.h"
-#include "core/tc_tree_io.h"
 #include "core/tcfi_format.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -82,15 +81,9 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
 StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
     const std::string& index_path, ItemDictionary dictionary,
     const QueryServiceOptions& options) {
-  if (LooksLikeTcfiFile(index_path)) {
-    auto mapped = MapTcTree(index_path);
-    if (!mapped.ok()) return mapped.status();
-    return std::make_unique<QueryService>(TcTreeSnapshot(std::move(*mapped)),
-                                          std::move(dictionary), options);
-  }
-  auto tree = LoadTcTreeFromFile(index_path);
-  if (!tree.ok()) return tree.status();
-  return std::make_unique<QueryService>(std::move(*tree),
+  auto mapped = MapTcTree(index_path);
+  if (!mapped.ok()) return mapped.status();
+  return std::make_unique<QueryService>(TcTreeSnapshot(std::move(*mapped)),
                                         std::move(dictionary), options);
 }
 
@@ -385,18 +378,10 @@ void QueryService::SwapSnapshot(TcTree tree) {
 }
 
 StatusOr<size_t> QueryService::ReloadFromFile(const std::string& path) {
-  if (LooksLikeTcfiFile(path)) {
-    auto mapped = MapTcTree(path);
-    if (!mapped.ok()) return mapped.status();
-    TcTreeSnapshot snap(std::move(*mapped));
-    const size_t nodes = snap.num_nodes();
-    SwapSnapshot(std::move(snap));
-    return nodes;
-  }
-  auto tree = LoadTcTreeFromFile(path);
-  if (!tree.ok()) return tree.status();
-  const size_t nodes = tree->num_nodes();
-  SwapSnapshot(std::move(*tree));
+  auto mapped = MapTcTree(path);
+  if (!mapped.ok()) return mapped.status();
+  const size_t nodes = mapped->num_nodes();
+  SwapSnapshot(TcTreeSnapshot(std::move(*mapped)));
   return nodes;
 }
 

@@ -79,12 +79,12 @@ struct QueryServiceOptions {
 
 /// \brief The online query-answering facade (§6.3 as a service).
 ///
-/// Owns an immutable TC-Tree snapshot (built in-process or loaded via
-/// tc_tree_io), the item dictionary used to resolve query item names, a
-/// sharded result cache, and a worker pool. `Execute` answers a single
-/// query; `ExecuteBatch` fans a workload out over the pool. All entry
-/// points are thread-safe: the tree snapshot is read-only and reference
-/// counted, and the cache does its own locking.
+/// Owns an immutable TC-Tree snapshot (built in-process or mapped from a
+/// TCFI file, core/tcfi_format.h), the item dictionary used to resolve
+/// query item names, a sharded result cache, and a worker pool.
+/// `Execute` answers a single query; `ExecuteBatch` fans a workload out
+/// over the pool. All entry points are thread-safe: the tree snapshot is
+/// read-only and reference counted, and the cache does its own locking.
 ///
 /// `SwapSnapshot` installs a new tree (e.g. a freshly rebuilt index)
 /// without stopping traffic: in-flight queries finish against the old
@@ -102,11 +102,10 @@ class QueryService : public QueryBackend {
       : QueryService(TcTreeSnapshot(std::move(tree)), std::move(dictionary),
                      options) {}
 
-  /// Loads a persisted index and pairs it with `dictionary` (the
+  /// Maps a persisted TCFI index and pairs it with `dictionary` (the
   /// network's, so query item names resolve to the ids the index was
-  /// built over). A `.tcfi` file (sniffed by magic, not extension) is
-  /// mmap'ed and served zero-copy; anything else goes through the
-  /// streaming TCFT loader into an owned tree.
+  /// built over). The mapped snapshot is served zero-copy; a file that
+  /// is not TCFI fails with MapTcTree's Corruption.
   static StatusOr<std::unique_ptr<QueryService>> Open(
       const std::string& index_path, ItemDictionary dictionary,
       const QueryServiceOptions& options = {});
@@ -141,10 +140,9 @@ class QueryService : public QueryBackend {
   /// Installs a new tree snapshot and invalidates the cache.
   void SwapSnapshot(TcTree tree) override;
 
-  /// RELOAD from disk: a valid `.tcfi` file is installed as a mapped
-  /// snapshot (no materialization — the load is O(1) validation plus an
-  /// epoch swap); anything else parses as TCFT. See
-  /// QueryBackend::ReloadFromFile.
+  /// RELOAD from disk: the TCFI file is installed as a mapped snapshot
+  /// (no materialization — the load is validation plus an epoch swap).
+  /// See QueryBackend::ReloadFromFile.
   StatusOr<size_t> ReloadFromFile(const std::string& path) override;
 
   /// Incremental swap (core/tc_tree_update.h): installs the updated

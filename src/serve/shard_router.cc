@@ -38,6 +38,30 @@ ResultCacheStats AddCacheStats(ResultCacheStats total,
   return total;
 }
 
+/// Maps the `num_shards` slice files of `base` and checks each one's
+/// shard metadata — all of them before the caller uses any, so a bad
+/// slice never leaves a service half-opened or half-rolled.
+StatusOr<std::vector<TcTreeSnapshot>> MapSlices(const std::string& base,
+                                                size_t num_shards) {
+  std::vector<TcTreeSnapshot> parts;
+  parts.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    const std::string path = TcfiSlicePath(base, s, num_shards);
+    auto mapped = MapTcTree(path);
+    if (!mapped.ok()) return mapped.status();
+    if (mapped->shard_id() != s || mapped->num_shards() != num_shards) {
+      return Status::Corruption(
+          StrFormat("%s: slice carries shard %zu/%zu, expected %zu/%zu",
+                    path.c_str(),
+                    static_cast<size_t>(mapped->shard_id()),
+                    static_cast<size_t>(mapped->num_shards()), s,
+                    num_shards));
+    }
+    parts.emplace_back(std::move(*mapped));
+  }
+  return parts;
+}
+
 }  // namespace
 
 ShardedQueryService::ShardedInit ShardedQueryService::MakeInit(
@@ -158,23 +182,9 @@ StatusOr<std::unique_ptr<ShardedQueryService>> ShardedQueryService::OpenSlices(
     const std::string& base, ItemDictionary dictionary, size_t num_shards,
     const QueryServiceOptions& options) {
   if (num_shards == 0) num_shards = 1;
-  std::vector<TcTreeSnapshot> parts;
-  parts.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const std::string path = TcfiSlicePath(base, s, num_shards);
-    auto mapped = MapTcTree(path);
-    if (!mapped.ok()) return mapped.status();
-    if (mapped->shard_id() != s || mapped->num_shards() != num_shards) {
-      return Status::Corruption(
-          StrFormat("%s: slice carries shard %zu/%zu, expected %zu/%zu",
-                    path.c_str(),
-                    static_cast<size_t>(mapped->shard_id()),
-                    static_cast<size_t>(mapped->num_shards()), s,
-                    num_shards));
-    }
-    parts.emplace_back(std::move(*mapped));
-  }
-  return std::make_unique<ShardedQueryService>(std::move(parts),
+  auto parts = MapSlices(base, num_shards);
+  if (!parts.ok()) return parts.status();
+  return std::make_unique<ShardedQueryService>(std::move(*parts),
                                                std::move(dictionary), options);
 }
 
@@ -357,38 +367,20 @@ void ShardedQueryService::SwapShardSnapshot(size_t shard, TcTree shard_tree) {
 StatusOr<size_t> ShardedQueryService::ReloadFromFile(const std::string& path) {
   // Slice-aware path: when every per-shard slice file is present, each
   // shard swaps its own mapped slice and no partitioning happens at
-  // all. Map and validate *all* slices before swapping *any* — a
-  // corrupt slice must not leave the service half-rolled.
+  // all.
   const size_t n = shards_.size();
-  bool all_slices = n > 0;
-  for (size_t s = 0; s < n && all_slices; ++s) {
-    all_slices = LooksLikeTcfiFile(TcfiSlicePath(path, s, n));
-  }
-  if (all_slices) {
-    std::vector<TcTreeSnapshot> parts;
-    parts.reserve(n);
+  if (n > 0 && TcfiSlicesExist(path, n)) {
+    auto parts = MapSlices(path, n);
+    if (!parts.ok()) return parts.status();
     size_t nodes = 0;
     for (size_t s = 0; s < n; ++s) {
-      const std::string slice = TcfiSlicePath(path, s, n);
-      auto mapped = MapTcTree(slice);
-      if (!mapped.ok()) return mapped.status();
-      if (mapped->shard_id() != s || mapped->num_shards() != n) {
-        return Status::Corruption(
-            StrFormat("%s: slice carries shard %zu/%zu, expected %zu/%zu",
-                      slice.c_str(),
-                      static_cast<size_t>(mapped->shard_id()),
-                      static_cast<size_t>(mapped->num_shards()), s, n));
-      }
-      nodes += mapped->num_nodes();
-      parts.emplace_back(std::move(*mapped));
-    }
-    for (size_t s = 0; s < n; ++s) {
-      SwapShardSnapshot(s, std::move(parts[s]));
+      nodes += (*parts)[s].num_nodes();
+      SwapShardSnapshot(s, std::move((*parts)[s]));
     }
     return nodes;
   }
-  // Whole-tree file (TCFI or TCFT): the base implementation
-  // materializes as needed and funnels into the rolling SwapSnapshot.
+  // Whole-tree file: the base implementation materializes it and
+  // funnels into the rolling SwapSnapshot.
   return QueryBackend::ReloadFromFile(path);
 }
 

@@ -103,7 +103,7 @@ class ShardedQueryService : public QueryBackend {
   /// zero-copy, no partitioning work) — every slice is mapped and
   /// validated *before* the first swap, so a corrupt slice never leaves
   /// the service half-rolled. Otherwise falls back to the base
-  /// behavior: load/materialize the whole tree at `path` and do a
+  /// behavior: map/materialize the whole tree at `path` and do a
   /// rolling partitioned swap.
   StatusOr<size_t> ReloadFromFile(const std::string& path) override;
 

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/tc_tree_io.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -765,11 +764,10 @@ std::string TcpServer::HandleRequest(const Request& request, bool* quit) {
         return response;
       }
       WallTimer reload_timer;
-      // The backend sniffs the format: a .tcfi file installs as a
-      // zero-copy mapped snapshot (O(1) validation, no parse), TCFT
-      // goes through the streaming loader. Either way the swap is the
-      // epoch-checked path: in-flight queries finish on the old
-      // snapshot and their results are dropped, not cached.
+      // The backend maps the TCFI file (validation, no parse) and
+      // installs it through the epoch-checked swap: in-flight queries
+      // finish on the old snapshot and their results are dropped, not
+      // cached.
       auto reloaded = service_.ReloadFromFile(request.reload_path);
       if (!reloaded.ok()) {
         TCF_LOG(Warn) << "RELOAD " << request.reload_path

@@ -52,11 +52,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 StatusOr<uint64_t> ParseUint64(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty integer");

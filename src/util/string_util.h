@@ -26,9 +26,6 @@ std::string_view Trim(std::string_view s);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// Parses a non-negative integer; rejects trailing garbage.
 StatusOr<uint64_t> ParseUint64(std::string_view s);
 

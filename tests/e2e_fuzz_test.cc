@@ -23,11 +23,11 @@
 #include "core/communities.h"
 #include "core/community_search.h"
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "core/tc_tree_update.h"
 #include "core/tcfa.h"
 #include "core/tcfi.h"
+#include "core/tcfi_format.h"
 #include "core/tcs.h"
 #include "net/binary_io.h"
 #include "net/network_io.h"
@@ -78,10 +78,11 @@ TEST_P(E2EFuzzTest, PipelineStagesAgree) {
 
   // --- Index agrees with direct mining; persisted index agrees too. -----
   TcTree tree = TcTree::Build(net, {.num_threads = 1 + seed % 3});
-  std::stringstream idx;
-  ASSERT_TRUE(SaveTcTree(tree, idx).ok());
-  auto loaded_tree = LoadTcTree(idx);
-  ASSERT_TRUE(loaded_tree.ok());
+  const std::string idx = ::testing::TempDir() + "/e2e_fuzz_" +
+                          std::to_string(seed) + ".tcfi";
+  ASSERT_TRUE(SaveTcTreeBinary(tree, idx).ok());
+  auto loaded_tree = MapTcTree(idx);
+  ASSERT_TRUE(loaded_tree.ok()) << loaded_tree.status();
 
   Itemset everything(net.ActiveItems());
   auto via_tree = QueryTcTree(tree, everything, alpha);

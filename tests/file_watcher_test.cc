@@ -3,19 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
+#include "core/tcfi_format.h"
 #include "serve/query_service.h"
 #include "test_util.h"
 
 namespace tcf {
 namespace {
 
+using testing::ExpectSameAnswer;
 using testing::MakeFigureOneNetwork;
 
 /// Polls `pred` for ~5 s (the watcher is asynchronous by design).
@@ -37,7 +40,7 @@ TEST(FileWatcherTest, SwapsInEachNewVersionOnWrite) {
   ASSERT_LT(shallow.num_nodes(), full.num_nodes());
 
   const std::string path = ::testing::TempDir() + "/file_watcher_swap.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(full, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(full, path).ok());
 
   QueryService service(full, net.dictionary(), {});
   FileWatcherOptions options;
@@ -52,29 +55,21 @@ TEST(FileWatcherTest, SwapsInEachNewVersionOnWrite) {
 
   // A writer replaces the artifact; the watcher swaps it in and counts
   // it as a reload (same path as the wire RELOAD verb).
-  ASSERT_TRUE(SaveTcTreeToFile(shallow, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(shallow, path).ok());
   ASSERT_TRUE(WaitFor([&] { return watcher.reloads() >= 1; }));
   ASSERT_TRUE(WaitFor([&] { return service.Report().reloads >= 1; }));
 
   // Served answers now come from the shallow tree: the depth-capped
   // index has no depth-2 pattern for {i0, i1}.
   const ServeQuery query{Itemset{0, 1}, 0.0};
-  const auto result = service.Execute(query);
-  const TcTreeQueryResult oracle = QueryTcTree(shallow, query.items, 0.0);
-  ASSERT_EQ(result->trusses.size(), oracle.trusses.size());
-  for (size_t i = 0; i < oracle.trusses.size(); ++i) {
-    testing::ExpectSameTruss(result->trusses[i], oracle.trusses[i]);
-  }
+  ExpectSameAnswer(QueryTcTree(shallow, query.items, 0.0),
+                   *service.Execute(query), "after the shallow swap");
 
   // Roll forward again: the full tree returns.
-  ASSERT_TRUE(SaveTcTreeToFile(full, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(full, path).ok());
   ASSERT_TRUE(WaitFor([&] { return watcher.reloads() >= 2; }));
-  const auto back = service.Execute(query);
-  const TcTreeQueryResult full_oracle = QueryTcTree(full, query.items, 0.0);
-  ASSERT_EQ(back->trusses.size(), full_oracle.trusses.size());
-  for (size_t i = 0; i < full_oracle.trusses.size(); ++i) {
-    testing::ExpectSameTruss(back->trusses[i], full_oracle.trusses[i]);
-  }
+  ExpectSameAnswer(QueryTcTree(full, query.items, 0.0),
+                   *service.Execute(query), "after rolling forward");
 
   watcher.Stop();
   watcher.Stop();  // idempotent
@@ -84,7 +79,13 @@ TEST(FileWatcherTest, HalfWrittenFileIsRetriedNotServed) {
   DatabaseNetwork net = MakeFigureOneNetwork();
   TcTree tree = TcTree::Build(net);
   const std::string path = ::testing::TempDir() + "/file_watcher_torn.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree, path).ok());
+  std::string corrupt;
+  {
+    std::ifstream in(path, std::ios::binary);
+    corrupt.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
 
   QueryService service(tree, net.dictionary(), {});
   FileWatcherOptions options;
@@ -93,13 +94,20 @@ TEST(FileWatcherTest, HalfWrittenFileIsRetriedNotServed) {
   FileWatcher watcher(service, options);
   ASSERT_TRUE(watcher.Start().ok());
 
-  // Simulate a torn write: the loader must reject it, the failure is
-  // counted, and the old snapshot keeps serving.
+  // A full-size file whose body is damaged: one flipped payload byte
+  // past the header. The header probe passes (its checksum and the file
+  // size are intact) but the section checksum fails at map time, so the
+  // watcher counts a failure, and the old snapshot keeps serving. The
+  // file lands by rename, so the poller never sees it half-written.
+  ASSERT_GT(corrupt.size(), sizeof(TcfiHeader));
+  corrupt[sizeof(TcfiHeader)] ^= 0x01;
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "not an index";
+    const std::string tmp = path + ".tmp";
+    std::ofstream(tmp, std::ios::binary | std::ios::trunc) << corrupt;
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
   }
   ASSERT_TRUE(WaitFor([&] { return watcher.failures() >= 1; }));
+  EXPECT_EQ(watcher.skipped(), 0u);
   EXPECT_EQ(watcher.reloads(), 0u);
   const ServeQuery query{Itemset{0}, 0.1};
   const auto still = service.Execute(query);
@@ -107,7 +115,7 @@ TEST(FileWatcherTest, HalfWrittenFileIsRetriedNotServed) {
   EXPECT_EQ(still->trusses.size(), oracle.trusses.size());
 
   // The writer finishes (a valid file lands): the retry succeeds.
-  ASSERT_TRUE(SaveTcTreeToFile(tree, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree, path).ok());
   ASSERT_TRUE(WaitFor([&] { return watcher.reloads() >= 1; }));
 
   watcher.Stop();

@@ -31,6 +31,10 @@
 namespace tcf {
 namespace {
 
+using testing::ExpectSameAnswer;
+using testing::ExpectSameDecomposition;
+using testing::ExpectSameTree;
+
 // ---------------------------------------------------------------------
 // Network factories. Each is called twice per scenario with the same
 // seed: once for the updater's authoritative copy, once for the oracle
@@ -109,42 +113,14 @@ void ReplayOnOracle(DatabaseNetwork& oracle, const NetworkUpdate& u) {
 }
 
 // ---------------------------------------------------------------------
-// Field-for-field tree equality.
+// Field-for-field subtree equality (whole trees: ExpectSameTree).
 // ---------------------------------------------------------------------
-
-void ExpectDecompositionsEqual(const TrussDecomposition& a,
-                               const TrussDecomposition& b) {
-  EXPECT_EQ(a.pattern(), b.pattern());
-  EXPECT_EQ(a.sorted_edges(), b.sorted_edges());
-  EXPECT_EQ(a.vertices(), b.vertices());
-  EXPECT_EQ(a.frequencies(), b.frequencies());  // bitwise: same arithmetic
-  ASSERT_EQ(a.levels().size(), b.levels().size());
-  for (size_t i = 0; i < a.levels().size(); ++i) {
-    EXPECT_EQ(a.levels()[i].alpha, b.levels()[i].alpha) << "level " << i;
-    EXPECT_EQ(a.levels()[i].removed, b.levels()[i].removed) << "level " << i;
-  }
-}
-
-void ExpectTreesEqual(const TcTree& incremental, const TcTree& rebuilt,
-                      const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(incremental.num_nodes(), rebuilt.num_nodes());
-  for (TcTree::NodeId id = 0; id <= incremental.num_nodes(); ++id) {
-    SCOPED_TRACE("node " + std::to_string(id));
-    const TcTree::Node& a = incremental.node(id);
-    const TcTree::Node& b = rebuilt.node(id);
-    EXPECT_EQ(a.item, b.item);
-    EXPECT_EQ(a.parent, b.parent);
-    EXPECT_EQ(a.children, b.children);
-    ExpectDecompositionsEqual(a.decomposition, b.decomposition);
-  }
-}
 
 void ExpectSubtreesEqual(const TcTree& a, TcTree::NodeId na, const TcTree& b,
                          TcTree::NodeId nb) {
   EXPECT_EQ(a.node(na).item, b.node(nb).item);
-  ExpectDecompositionsEqual(a.node(na).decomposition,
-                            b.node(nb).decomposition);
+  ExpectSameDecomposition(a.node(na).decomposition,
+                          b.node(nb).decomposition);
   ASSERT_EQ(a.node(na).children.size(), b.node(nb).children.size());
   for (size_t i = 0; i < a.node(na).children.size(); ++i) {
     ExpectSubtreesEqual(a, a.node(na).children[i], b, b.node(nb).children[i]);
@@ -193,8 +169,8 @@ void RunDifferential(DatabaseNetwork updater_net, DatabaseNetwork oracle_net,
                      const TcTreeOptions& oracle_options, uint64_t seed,
                      size_t batches, size_t ops_per_batch) {
   TcTree initial = TcTree::Build(updater_net, update_options);
-  ExpectTreesEqual(initial, TcTree::Build(oracle_net, oracle_options),
-                   "initial builds disagree");
+  ExpectSameTree(initial, TcTree::Build(oracle_net, oracle_options),
+                 "initial builds disagree");
   IndexUpdater updater(std::move(updater_net), std::move(initial),
                        /*sink=*/nullptr, update_options);
 
@@ -214,9 +190,9 @@ void RunDifferential(DatabaseNetwork updater_net, DatabaseNetwork oracle_net,
     EXPECT_EQ(outcome->dirty_items, dirty.size());
 
     const TcTree oracle = TcTree::Build(oracle_net, oracle_options);
-    ExpectTreesEqual(updater.tree(), oracle,
-                     "batch " + std::to_string(b) + " seed " +
-                         std::to_string(seed));
+    ExpectSameTree(updater.tree(), oracle,
+                   "batch " + std::to_string(b) + " seed " +
+                       std::to_string(seed));
     EXPECT_EQ(outcome->tree_nodes, oracle.num_nodes());
 
     if (!outcome->stats.full_rebuild && !oracle.build_stats().truncated) {
@@ -311,8 +287,8 @@ TEST(IncrementalUpdate, TruncatedTreeFallsBackToFullRebuild) {
   auto outcome = updater.Apply(std::move(batch));
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->stats.full_rebuild);
-  ExpectTreesEqual(updater.tree(), TcTree::Build(oracle_net, budgeted),
-                   "fallback rebuild");
+  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net, budgeted),
+                 "fallback rebuild");
 }
 
 TEST(IncrementalUpdate, EmptyFlushIsANoop) {
@@ -350,8 +326,8 @@ TEST(IncrementalUpdate, InvalidBatchIsRejectedWithoutMutating) {
   // Whole batch rejected: no transaction landed, the index still equals
   // the oracle of the *unmodified* network.
   EXPECT_EQ(updater.network().num_edges(), edges_before);
-  ExpectTreesEqual(updater.tree(), TcTree::Build(oracle_net),
-                   "tree after rejected batch");
+  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net),
+                 "tree after rejected batch");
 
   // Self-loops and unknown items are rejected the same way.
   NetworkUpdate loop;
@@ -383,8 +359,8 @@ TEST(IncrementalUpdate, EnqueuedBatchesCoalesceIntoOneFlush) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->batches, 3u);
   EXPECT_EQ(updater.pending(), 0u);
-  ExpectTreesEqual(updater.tree(), TcTree::Build(oracle_net),
-                   "coalesced flush");
+  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net),
+                 "coalesced flush");
 }
 
 // ---------------------------------------------------------------------
@@ -423,17 +399,6 @@ ServeQuery RandomQuery(const std::vector<ItemId>& items, Rng& rng) {
   }
   return ServeQuery{Itemset(std::move(picked)),
                     kAlphas[rng.NextUint64(std::size(kAlphas))]};
-}
-
-void ExpectSameAnswer(const TcTreeQueryResult& expected,
-                      const TcTreeQueryResult& actual,
-                      const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(expected.trusses.size(), actual.trusses.size());
-  for (size_t i = 0; i < expected.trusses.size(); ++i) {
-    testing::ExpectSameTruss(expected.trusses[i], actual.trusses[i],
-                             "truss " + std::to_string(i));
-  }
 }
 
 void RunBackendDifferential(size_t num_shards, uint64_t seed) {

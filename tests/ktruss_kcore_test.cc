@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TrussDecompositionTest, TrussnessConsistentWithKTruss) {
   Rng rng(123);
   Graph g = ErdosRenyi(16, 60, rng);
-  auto trussness = TrussDecomposition(g);
+  auto trussness = EdgeTrussness(g);
   for (uint32_t k = 3; k <= 6; ++k) {
     std::set<Edge> expect;
     for (const Edge& e : KTrussEdges(g, k)) expect.insert(e);
@@ -99,7 +99,7 @@ TEST(TrussDecompositionTest, TrussnessConsistentWithKTruss) {
 }
 
 TEST(TrussDecompositionTest, K5AllEdgesTrussness5) {
-  auto t = TrussDecomposition(Complete(5));
+  auto t = EdgeTrussness(Complete(5));
   for (uint32_t v : t) EXPECT_EQ(v, 5u);
 }
 

@@ -1,11 +1,9 @@
-// Binary persistence: database networks and the TC-Tree index.
+// Binary persistence of database networks (the TC-Tree index file is
+// covered by tcfi_format_test and tcfi_corrupt_test).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
-#include "core/tc_tree_query.h"
 #include "net/binary_io.h"
 #include "net/stats.h"
 #include "test_util.h"
@@ -13,7 +11,6 @@
 namespace tcf {
 namespace {
 
-using testing::MakeFigureOneNetwork;
 using testing::MakeRandomNetwork;
 
 // ------------------------------------------------ binary network I/O --
@@ -82,97 +79,6 @@ TEST(BinaryIoTest, MissingFileIsIOError) {
   EXPECT_TRUE(LoadNetworkBinaryFromFile("/no/such/file.bin")
                   .status()
                   .IsIOError());
-}
-
-// ------------------------------------------------- TC-Tree persistence --
-
-TEST(TcTreeIoTest, RoundTripPreservesStructure) {
-  DatabaseNetwork net = MakeRandomNetwork({.num_vertices = 14,
-                                           .num_items = 5,
-                                           .seed = 21});
-  TcTree tree = TcTree::Build(net);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveTcTree(tree, ss).ok());
-  auto loaded = LoadTcTree(ss);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->num_nodes(), tree.num_nodes());
-  for (TcTree::NodeId id = 1; id <= tree.num_nodes(); ++id) {
-    EXPECT_EQ(loaded->PatternOf(id), tree.PatternOf(id));
-    EXPECT_EQ(loaded->node(id).decomposition.sorted_edges(),
-              tree.node(id).decomposition.sorted_edges());
-    EXPECT_EQ(loaded->node(id).decomposition.max_alpha(),
-              tree.node(id).decomposition.max_alpha());
-    EXPECT_EQ(loaded->node(id).decomposition.levels().size(),
-              tree.node(id).decomposition.levels().size());
-  }
-}
-
-TEST(TcTreeIoTest, LoadedTreeAnswersQueriesIdentically) {
-  DatabaseNetwork net = MakeFigureOneNetwork();
-  TcTree tree = TcTree::Build(net);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveTcTree(tree, ss).ok());
-  auto loaded = LoadTcTree(ss);
-  ASSERT_TRUE(loaded.ok());
-  for (double alpha : {0.0, 0.15, 0.25, 0.35}) {
-    auto a = QueryTcTree(tree, Itemset({0, 1}), alpha);
-    auto b = QueryTcTree(*loaded, Itemset({0, 1}), alpha);
-    ASSERT_EQ(a.retrieved_nodes, b.retrieved_nodes) << alpha;
-    for (size_t i = 0; i < a.trusses.size(); ++i) {
-      EXPECT_EQ(a.trusses[i].pattern, b.trusses[i].pattern);
-      EXPECT_EQ(a.trusses[i].edges, b.trusses[i].edges);
-      EXPECT_EQ(a.trusses[i].vertices, b.trusses[i].vertices);
-      EXPECT_EQ(a.trusses[i].frequencies, b.trusses[i].frequencies);
-    }
-  }
-}
-
-TEST(TcTreeIoTest, EmptyTreeRoundTrips) {
-  DatabaseNetwork net = testing::MakeNetwork(2, {}, {{{0}}, {{1}}});
-  TcTree tree = TcTree::Build(net);
-  ASSERT_EQ(tree.num_nodes(), 0u);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveTcTree(tree, ss).ok());
-  auto loaded = LoadTcTree(ss);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_nodes(), 0u);
-}
-
-TEST(TcTreeIoTest, RejectsBadMagicAndTruncation) {
-  std::stringstream bad("XXXX");
-  EXPECT_FALSE(LoadTcTree(bad).ok());
-
-  DatabaseNetwork net = MakeFigureOneNetwork();
-  TcTree tree = TcTree::Build(net);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveTcTree(tree, ss).ok());
-  std::string full = ss.str();
-  for (size_t cut : {6ul, 16ul, full.size() / 2, full.size() - 1}) {
-    std::stringstream truncated(full.substr(0, cut));
-    EXPECT_FALSE(LoadTcTree(truncated).ok()) << "cut=" << cut;
-  }
-}
-
-TEST(TcTreeIoTest, FileRoundTrip) {
-  DatabaseNetwork net = MakeRandomNetwork({.num_items = 4, .seed = 33});
-  TcTree tree = TcTree::Build(net);
-  const std::string path = ::testing::TempDir() + "/tcf_tree.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree, path).ok());
-  auto loaded = LoadTcTreeFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_nodes(), tree.num_nodes());
-  EXPECT_EQ(loaded->TotalIndexedEdges(), tree.TotalIndexedEdges());
-}
-
-TEST(TcTreeIoTest, MaxAlphaAndDepthSurvive) {
-  DatabaseNetwork net = MakeRandomNetwork({.num_items = 4, .seed = 35});
-  TcTree tree = TcTree::Build(net);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveTcTree(tree, ss).ok());
-  auto loaded = LoadTcTree(ss);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->MaxAlphaOverNodes(), tree.MaxAlphaOverNodes());
-  EXPECT_EQ(loaded->MaxDepth(), tree.MaxDepth());
 }
 
 }  // namespace

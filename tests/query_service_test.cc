@@ -12,8 +12,8 @@
 
 #include "core/partition.h"
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
+#include "core/tcfi_format.h"
 #include "serve/shard_router.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -385,7 +385,7 @@ TEST(QueryServiceTest, OpenLoadsPersistedIndex) {
   DatabaseNetwork net = MakeFigureOneNetwork();
   TcTree tree = TcTree::Build(net);
   const std::string path = ::testing::TempDir() + "/query_service_test.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree, path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree, path).ok());
 
   auto service = QueryService::Open(path, net.dictionary(), {});
   ASSERT_TRUE(service.ok());

@@ -7,10 +7,9 @@
 // and warm caches. Plus the structural guarantees the router leans on:
 // PartitionTcTree is an exact partition of the arena by layer-1 item
 // ownership, and BuildShardTree over a PartitionTransactions network
-// reproduces the partitioned full build byte-identically.
+// reproduces the partitioned full build field for field.
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,24 +17,20 @@
 
 #include "core/partition.h"
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "gen/checkin_generator.h"
 #include "gen/syn_generator.h"
 #include "serve/query_service.h"
 #include "serve/shard_router.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace tcf {
 namespace {
 
-constexpr size_t kShardCounts[] = {1, 2, 3, 8};
+using testing::ExpectSameTree;
 
-std::string Serialize(const TcTree& tree) {
-  std::ostringstream os(std::ios::binary);
-  EXPECT_TRUE(SaveTcTree(tree, os).ok());
-  return os.str();
-}
+constexpr size_t kShardCounts[] = {1, 2, 3, 8};
 
 DatabaseNetwork SmallBkLike(uint64_t seed) {
   CheckinParams p;
@@ -291,7 +286,7 @@ TEST(ShardRouterTest, BuildShardTreeMatchesPartitionedFullBuild) {
   // The build-side soundness claim: building over the partitioned
   // network (thinned foreign transaction databases, full topology) and
   // stripping foreign subtrees reproduces PartitionTcTree of the full
-  // build *byte-identically* — Prop.-5.3 right-sibling partners and all.
+  // build *field for field* — Prop.-5.3 right-sibling partners and all.
   HashShardPartitioner partitioner;
   for (int which = 0; which < 2; ++which) {
     DatabaseNetwork net = which == 0 ? SmallBkLike(7) : SmallSyn(5);
@@ -306,40 +301,7 @@ TEST(ShardRouterTest, BuildShardTreeMatchesPartitionedFullBuild) {
       for (size_t s = 0; s < num_shards; ++s) {
         TcTree direct =
             BuildShardTree(shard_nets[s], partitioner, num_shards, s);
-        const std::string a = Serialize(direct);
-        const std::string b = Serialize(expected[s]);
-        if (a != b) {
-          size_t i = 0;
-          while (i < std::min(a.size(), b.size()) && a[i] == b[i]) ++i;
-          ADD_FAILURE() << "shard " << s << " differs: sizes " << a.size()
-                        << " vs " << b.size() << ", first diff at byte " << i
-                        << "; nodes " << direct.num_nodes() << " vs "
-                        << expected[s].num_nodes();
-          for (TcTree::NodeId id = 1;
-               id <= std::min(direct.num_nodes(), expected[s].num_nodes());
-               ++id) {
-            const auto& d = direct.node(id);
-            const auto& e = expected[s].node(id);
-            if (d.item != e.item || d.parent != e.parent ||
-                d.children != e.children ||
-                d.decomposition.sorted_edges() !=
-                    e.decomposition.sorted_edges() ||
-                d.decomposition.vertices() != e.decomposition.vertices() ||
-                d.decomposition.frequencies() !=
-                    e.decomposition.frequencies()) {
-              ADD_FAILURE()
-                  << "first node diff at id " << id << " pattern "
-                  << direct.PatternOf(id).ToString() << " vs "
-                  << expected[s].PatternOf(id).ToString() << " item "
-                  << d.item << "/" << e.item << " edges "
-                  << d.decomposition.num_edges() << "/"
-                  << e.decomposition.num_edges() << " levels "
-                  << d.decomposition.levels().size() << "/"
-                  << e.decomposition.levels().size();
-              break;
-            }
-          }
-        }
+        ExpectSameTree(expected[s], direct, "shard " + std::to_string(s));
       }
     }
   }

@@ -1,30 +1,26 @@
 // Property tests for the parallel TC-Tree build: whatever the thread
 // count, the ordered-commit merge must produce the *same arena* — same
-// node ids, same child lists, same decompositions — and therefore a
-// byte-identical serialized index (tc_tree_io), including under
-// `max_nodes` truncation and `max_depth` caps, with every build-stats
-// counter invariant too. The networks come from the real generators
-// (BK-like check-in, SYN) rather than the tiny hand-built fixtures, so
-// the trees are deep enough that waves 2+ actually fan out.
-#include <sstream>
+// node ids, same child lists, same decompositions, field for field —
+// including under `max_nodes` truncation and `max_depth` caps, with
+// every build-stats counter invariant too. The networks come from the
+// real generators (BK-like check-in, SYN) rather than the tiny
+// hand-built fixtures, so the trees are deep enough that waves 2+
+// actually fan out.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
+#include "core/tcfi_format.h"
 #include "gen/checkin_generator.h"
 #include "gen/syn_generator.h"
+#include "test_util.h"
 
 namespace tcf {
 namespace {
 
-std::string Serialize(const TcTree& tree) {
-  std::ostringstream os(std::ios::binary);
-  EXPECT_TRUE(SaveTcTree(tree, os).ok());
-  return os.str();
-}
+using testing::ExpectSameTree;
 
 DatabaseNetwork SmallBkLike(uint64_t seed) {
   CheckinParams p;
@@ -53,24 +49,23 @@ void ExpectStatsEqual(const TcTreeBuildStats& a, const TcTreeBuildStats& b) {
 }
 
 /// Builds with 1, 2 and 8 threads under `options` (num_threads is
-/// overridden) and asserts byte-identical serializations + invariant
-/// stats. Returns the 1-thread tree for further checks.
+/// overridden) and asserts identical trees + invariant stats. Returns
+/// the 1-thread tree for further checks.
 TcTree ExpectThreadCountInvariant(const DatabaseNetwork& net,
                                   TcTreeOptions options) {
   options.num_threads = 1;
   TcTree reference = TcTree::Build(net, options);
-  const std::string reference_bytes = Serialize(reference);
   for (size_t threads : {size_t{2}, size_t{8}}) {
     options.num_threads = threads;
     TcTree tree = TcTree::Build(net, options);
-    EXPECT_EQ(Serialize(tree), reference_bytes)
-        << "serialized tree differs at num_threads=" << threads;
+    ExpectSameTree(reference, tree,
+                   "num_threads=" + std::to_string(threads));
     ExpectStatsEqual(tree.build_stats(), reference.build_stats());
   }
   return reference;
 }
 
-TEST(TcTreeParallelTest, BkLikeByteIdenticalAcrossThreadCounts) {
+TEST(TcTreeParallelTest, BkLikeIdenticalAcrossThreadCounts) {
   for (uint64_t seed : {7u, 21u}) {
     DatabaseNetwork net = SmallBkLike(seed);
     TcTree tree = ExpectThreadCountInvariant(net, {});
@@ -80,13 +75,13 @@ TEST(TcTreeParallelTest, BkLikeByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(TcTreeParallelTest, SynByteIdenticalAcrossThreadCounts) {
+TEST(TcTreeParallelTest, SynIdenticalAcrossThreadCounts) {
   DatabaseNetwork net = SmallSyn(5);
   TcTree tree = ExpectThreadCountInvariant(net, {});
   EXPECT_GT(tree.num_nodes(), 0u) << "degenerate fixture";
 }
 
-TEST(TcTreeParallelTest, ByteIdenticalUnderNodeBudgetTruncation) {
+TEST(TcTreeParallelTest, IdenticalUnderNodeBudgetTruncation) {
   DatabaseNetwork net = SmallBkLike(7);
   TcTree full = TcTree::Build(net, {.num_threads = 1});
   ASSERT_GT(full.num_nodes(), 4u) << "tree too small to truncate";
@@ -101,7 +96,7 @@ TEST(TcTreeParallelTest, ByteIdenticalUnderNodeBudgetTruncation) {
   }
 }
 
-TEST(TcTreeParallelTest, ByteIdenticalUnderDepthCap) {
+TEST(TcTreeParallelTest, IdenticalUnderDepthCap) {
   DatabaseNetwork net = SmallBkLike(21);
   for (size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
     TcTree tree = ExpectThreadCountInvariant(net, {.max_depth = depth});
@@ -109,7 +104,7 @@ TEST(TcTreeParallelTest, ByteIdenticalUnderDepthCap) {
   }
 }
 
-TEST(TcTreeParallelTest, ByteIdenticalUnderBudgetAndDepthTogether) {
+TEST(TcTreeParallelTest, IdenticalUnderBudgetAndDepthTogether) {
   DatabaseNetwork net = SmallSyn(5);
   TcTree full = TcTree::Build(net, {.num_threads = 1});
   if (full.num_nodes() < 4) GTEST_SKIP() << "tree too small";
@@ -118,16 +113,18 @@ TEST(TcTreeParallelTest, ByteIdenticalUnderBudgetAndDepthTogether) {
 }
 
 TEST(TcTreeParallelTest, ParallelBuildRoundTripsThroughDisk) {
-  // The serialized-equal property must survive an actual save/load cycle:
-  // a tree built with 8 threads, loaded back, re-serializes to the same
-  // bytes (guards the io path against depending on build-only state).
+  // The equal-tree property must survive an actual save/map cycle: a
+  // tree built with 8 threads, saved as TCFI, mapped and materialized,
+  // is the same tree (guards the index file against depending on
+  // build-only state).
   DatabaseNetwork net = SmallBkLike(7);
   TcTree tree = TcTree::Build(net, {.num_threads = 8});
-  const std::string bytes = Serialize(tree);
-  std::istringstream is(bytes);
-  auto loaded = LoadTcTree(is);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(Serialize(*loaded), bytes);
+  const std::string path =
+      ::testing::TempDir() + "/tc_tree_parallel_roundtrip.tcfi";
+  ASSERT_TRUE(SaveTcTreeBinary(tree, path).ok());
+  auto mapped = MapTcTree(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ExpectSameTree(tree, MaterializeTcTree(*mapped), "saved, mapped back");
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // TCFI mmap snapshot format: round-trip fidelity, mapped-vs-owned query
-// equivalence (byte-for-byte), shard slices, and the probe helpers.
+// equivalence (byte-for-byte), shard slices, and the header probe.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string>
 
 #include "core/partition.h"
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "core/tc_tree_snapshot.h"
 #include "core/tcfi_format.h"
@@ -17,12 +17,20 @@
 namespace tcf {
 namespace {
 
-using testing::ExpectSameTruss;
+using testing::ExpectSameAnswer;
+using testing::ExpectSameTree;
 using testing::MakeFigureOneNetwork;
 using testing::MakeRandomNetwork;
+using testing::WalkCounters;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)),
+                     std::istreambuf_iterator<char>());
 }
 
 TcTree BuildRandomTree(uint64_t seed) {
@@ -30,26 +38,9 @@ TcTree BuildRandomTree(uint64_t seed) {
       {.num_vertices = 14, .num_items = 6, .tx_per_vertex = 7, .seed = seed}));
 }
 
-std::string SerializeTcft(const TcTree& tree) {
-  std::stringstream ss;
-  EXPECT_TRUE(SaveTcTree(tree, ss).ok());
-  return ss.str();
-}
-
-void ExpectSameResult(const TcTreeQueryResult& a, const TcTreeQueryResult& b,
-                      const std::string& context) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(a.retrieved_nodes, b.retrieved_nodes);
-  EXPECT_EQ(a.visited_nodes, b.visited_nodes);
-  EXPECT_EQ(a.pruned_subtrees, b.pruned_subtrees);
-  ASSERT_EQ(a.trusses.size(), b.trusses.size());
-  for (size_t i = 0; i < a.trusses.size(); ++i) {
-    ExpectSameTruss(a.trusses[i], b.trusses[i], "truss " + std::to_string(i));
-  }
-}
-
-// Save → map → materialize → re-save must reproduce the original TCFT
-// bytes exactly: nothing about the tree survives only in memory.
+// Save → map → materialize gives back the same tree, field for field,
+// and re-saving it reproduces the original file byte for byte: nothing
+// about the tree survives only in memory.
 TEST(TcfiFormatTest, MaterializedRoundTripIsByteIdentical) {
   const TcTree tree = BuildRandomTree(21);
   const std::string path = TempPath("tcfi_roundtrip.tcfi");
@@ -57,7 +48,10 @@ TEST(TcfiFormatTest, MaterializedRoundTripIsByteIdentical) {
   auto mapped = MapTcTree(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   const TcTree rebuilt = MaterializeTcTree(*mapped);
-  EXPECT_EQ(SerializeTcft(tree), SerializeTcft(rebuilt));
+  ExpectSameTree(tree, rebuilt, "materialized");
+  const std::string resaved = TempPath("tcfi_roundtrip_resaved.tcfi");
+  ASSERT_TRUE(SaveTcTreeBinary(rebuilt, resaved).ok());
+  EXPECT_EQ(ReadFile(path), ReadFile(resaved));
 }
 
 TEST(TcfiFormatTest, MappedMetadataMatchesTree) {
@@ -93,10 +87,10 @@ TEST(TcfiFormatTest, MappedQueriesMatchOwnedAcrossGrid) {
       Itemset({2, 3, 4, 5}), Itemset({0, 1, 2, 3, 4, 5})};
   for (double alpha : {0.0, 0.05, 0.11, 0.2, 0.5, 1.0}) {
     for (const Itemset& q : queries) {
-      ExpectSameResult(QueryTcTree(tree, q, alpha),
+      ExpectSameAnswer(QueryTcTree(tree, q, alpha),
                        QueryTcTree(*mapped, q, alpha),
-                       "alpha=" + std::to_string(alpha) +
-                           " q=" + q.ToString());
+                       "alpha=" + std::to_string(alpha) + " q=" + q.ToString(),
+                       WalkCounters::kCompare);
     }
   }
 }
@@ -114,9 +108,9 @@ TEST(TcfiFormatTest, MappedCompositionMatchesCold) {
   const TcTreeQueryResult r1 = QueryTcTree(*mapped, c1, alpha);
   const TcTreeQueryResult r2 = QueryTcTree(*mapped, c2, alpha);
   const std::vector<SubPatternCover> covers = {{&c1, &r1}, {&c2, &r2}};
-  ExpectSameResult(QueryTcTree(tree, q, alpha),
+  ExpectSameAnswer(QueryTcTree(tree, q, alpha),
                    ComposeTcTreeQuery(*mapped, q, alpha, covers),
-                   "composed over mapped");
+                   "composed over mapped", WalkCounters::kCompare);
 }
 
 TEST(TcfiFormatTest, SnapshotDispatchesBothFlavors) {
@@ -133,10 +127,10 @@ TEST(TcfiFormatTest, SnapshotDispatchesBothFlavors) {
   EXPECT_EQ(owned.num_nodes(), zero_copy.num_nodes());
   EXPECT_EQ(owned.MaxAlphaOverNodes(), zero_copy.MaxAlphaOverNodes());
   const Itemset q({0, 2, 4});
-  ExpectSameResult(owned.Query(q, 0.1), zero_copy.Query(q, 0.1),
-                   "snapshot query");
-  EXPECT_EQ(SerializeTcft(owned.MaterializeTree()),
-            SerializeTcft(zero_copy.MaterializeTree()));
+  ExpectSameAnswer(owned.Query(q, 0.1), zero_copy.Query(q, 0.1),
+                   "snapshot query", WalkCounters::kCompare);
+  ExpectSameTree(owned.MaterializeTree(), zero_copy.MaterializeTree(),
+                 "materialized snapshots");
 }
 
 TEST(TcfiFormatTest, RootOnlyTreeRoundTrips) {
@@ -168,25 +162,33 @@ TEST(TcfiFormatTest, ShardSlicesCarryMetadataAndPartitionExactly) {
     EXPECT_EQ(mapped->shard_id(), s);
     EXPECT_EQ(mapped->num_shards(), kShards);
     total_nodes += mapped->num_nodes();
-    EXPECT_EQ(SerializeTcft(MaterializeTcTree(*mapped)),
-              SerializeTcft(parts[s]))
-        << "slice " << s;
+    ExpectSameTree(parts[s], MaterializeTcTree(*mapped),
+                   "slice " + std::to_string(s));
   }
   EXPECT_EQ(total_nodes, tree.num_nodes());
 }
 
-TEST(TcfiFormatTest, ProbeAndSniffHelpers) {
+TEST(TcfiFormatTest, ProbeAcceptsOnlyWholeTcfiFiles) {
   const TcTree tree = BuildRandomTree(27);
   const std::string tcfi_path = TempPath("tcfi_probe.tcfi");
-  const std::string tcft_path = TempPath("tcfi_probe.tcft");
   ASSERT_TRUE(SaveTcTreeBinary(tree, tcfi_path).ok());
-  ASSERT_TRUE(SaveTcTreeToFile(tree, tcft_path).ok());
-
   EXPECT_TRUE(ProbeTcfiFile(tcfi_path).ok());
-  EXPECT_TRUE(LooksLikeTcfiFile(tcfi_path));
-  EXPECT_FALSE(LooksLikeTcfiFile(tcft_path));
-  EXPECT_TRUE(ProbeTcfiFile(tcft_path).IsCorruption());
   EXPECT_TRUE(ProbeTcfiFile("/no/such/file.tcfi").IsIOError());
+
+  // A header-sized file in another format (any other magic) fails the
+  // probe and the map with a Corruption that says how to get a
+  // loadable file.
+  const std::string foreign_path = TempPath("tcfi_probe_foreign.idx");
+  {
+    std::ofstream out(foreign_path, std::ios::binary);
+    out << "XXXX" << std::string(sizeof(TcfiHeader), '\x01');
+  }
+  const Status probe = ProbeTcfiFile(foreign_path);
+  EXPECT_TRUE(probe.IsCorruption()) << probe;
+  EXPECT_NE(probe.message().find("rebuild it with `tcf index`"),
+            std::string::npos)
+      << probe;
+  EXPECT_TRUE(MapTcTree(foreign_path).status().IsCorruption());
 
   // The writer leaves no temp droppings behind.
   std::ifstream tmp(tcfi_path + ".tmp");

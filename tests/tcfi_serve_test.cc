@@ -1,8 +1,8 @@
 // Serve-layer coverage of TCFI snapshots: a service opened over a
 // mapped .tcfi file must answer byte-for-byte like one built in
-// process, RELOAD must sniff both formats, sharded slice files must
-// reproduce unsharded answers, and the watcher must probe-and-skip
-// torn TCFI writes instead of attempting a load.
+// process, RELOAD must install the mapped file and refuse any other,
+// sharded slice files must reproduce unsharded answers, and the watcher
+// must probe-and-skip torn TCFI writes instead of attempting a load.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "core/tcfi_format.h"
 #include "serve/file_watcher.h"
@@ -25,7 +24,7 @@
 namespace tcf {
 namespace {
 
-using testing::ExpectSameTruss;
+using testing::ExpectSameAnswer;
 using testing::MakeRandomNetwork;
 
 std::string TempPath(const std::string& name) {
@@ -46,15 +45,6 @@ std::vector<ServeQuery> GridQueries() {
     queries.push_back({Itemset({0, 1, 2, 3, 4, 5}), alpha});
   }
   return queries;
-}
-
-void ExpectSameAnswer(const TcTreeQueryResult& a, const TcTreeQueryResult& b,
-                      const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(a.trusses.size(), b.trusses.size());
-  for (size_t i = 0; i < a.trusses.size(); ++i) {
-    ExpectSameTruss(a.trusses[i], b.trusses[i], "truss " + std::to_string(i));
-  }
 }
 
 /// Polls `pred` for ~5 s (the watcher is asynchronous by design).
@@ -84,20 +74,18 @@ TEST(TcfiServeTest, OpenedMappedServiceMatchesOwnedService) {
   }
 }
 
-TEST(TcfiServeTest, ReloadFromFileSniffsBothFormats) {
+TEST(TcfiServeTest, ReloadFromFileInstallsMappedSnapshot) {
   DatabaseNetwork net = BuildNet(62);
   TcTree full = TcTree::Build(net);
   TcTree shallow = TcTree::Build(net, {.max_depth = 1});
   ASSERT_LT(shallow.num_nodes(), full.num_nodes());
 
   const std::string tcfi = TempPath("tcfi_serve_reload.tcfi");
-  const std::string tcft = TempPath("tcfi_serve_reload.tcft");
   ASSERT_TRUE(SaveTcTreeBinary(shallow, tcfi).ok());
-  ASSERT_TRUE(SaveTcTreeToFile(full, tcft).ok());
 
   QueryService service(TcTree(full), net.dictionary(), {});
 
-  // TCFI reload: installs the mapped snapshot zero-copy.
+  // Installs the mapped snapshot zero-copy.
   auto nodes = service.ReloadFromFile(tcfi);
   ASSERT_TRUE(nodes.ok()) << nodes.status();
   EXPECT_EQ(*nodes, shallow.num_nodes());
@@ -107,20 +95,25 @@ TEST(TcfiServeTest, ReloadFromFileSniffsBothFormats) {
                    QueryTcTree(shallow, probe.items, probe.alpha),
                    "after tcfi reload");
 
-  // TCFT reload through the same entry point: back to an owned tree.
-  nodes = service.ReloadFromFile(tcft);
-  ASSERT_TRUE(nodes.ok()) << nodes.status();
-  EXPECT_EQ(*nodes, full.num_nodes());
-  ASSERT_FALSE(service.snapshot()->mapped());
-
-  // A bad file leaves the live snapshot untouched.
-  const std::string bad = TempPath("tcfi_serve_reload_bad.tcfi");
+  // A torn file and a file in another format (any other magic) are
+  // refused, and the live snapshot stays.
+  const std::string torn = TempPath("tcfi_serve_reload_torn.tcfi");
   {
-    std::ofstream out(bad, std::ios::binary);
+    std::ofstream out(torn, std::ios::binary);
     out << "TCFI but torn";
   }
-  EXPECT_FALSE(service.ReloadFromFile(bad).ok());
-  EXPECT_EQ(service.snapshot()->num_nodes(), full.num_nodes());
+  EXPECT_TRUE(service.ReloadFromFile(torn).status().IsCorruption());
+  const std::string foreign = TempPath("tcfi_serve_reload_foreign.idx");
+  {
+    std::ofstream out(foreign, std::ios::binary);
+    out << "XXXX" << std::string(sizeof(TcfiHeader), '\x01');
+  }
+  const Status refused = service.ReloadFromFile(foreign).status();
+  EXPECT_TRUE(refused.IsCorruption()) << refused;
+  EXPECT_NE(refused.message().find("tcf index"), std::string::npos)
+      << refused;
+  EXPECT_EQ(service.snapshot()->num_nodes(), shallow.num_nodes());
+  ASSERT_TRUE(service.snapshot()->mapped());
 }
 
 TEST(TcfiServeTest, OpenSlicesMatchesUnshardedService) {
@@ -196,8 +189,7 @@ TEST(TcfiServeTest, WatcherSkipsTornTcfiViaHeaderProbe) {
   ASSERT_TRUE(watcher.Start().ok());
 
   // Each version lands by rename from a sibling temp file, so the 5 ms
-  // poller never sees the empty file a truncating rewrite passes
-  // through (no TCFI magic: the TCFT loader would count a failure).
+  // poller sees exactly the bytes each step writes.
   const auto replace = [&path](std::string_view bytes) {
     const std::string tmp = path + ".tmp";
     {

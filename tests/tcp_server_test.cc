@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "core/tc_tree_update.h"
+#include "core/tcfi_format.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/line_protocol.h"
@@ -366,7 +366,7 @@ TEST(TcpServerTest, ReloadSwapsSnapshotUnderInFlightQueries) {
 
   const std::string index_path =
       ::testing::TempDir() + "/tcp_server_reload.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree_b, index_path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree_b, index_path).ok());
 
   QueryService service(tree_a, net_a.dictionary(), {});
   TcpServer server(service, {});
@@ -497,7 +497,7 @@ TEST(TcpServerTest, ShardedRollingReloadUnderMultiClientTraffic) {
 
   const std::string index_path =
       ::testing::TempDir() + "/tcp_server_shard_reload.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree_b, index_path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree_b, index_path).ok());
 
   TcpServer server(service, {});
   ASSERT_TRUE(server.Start().ok());
@@ -958,7 +958,7 @@ TEST(TcpServerTest, ReloadUnderPipelinedBatchTraffic) {
 
   const std::string index_path =
       ::testing::TempDir() + "/tcp_server_batch_reload.idx";
-  ASSERT_TRUE(SaveTcTreeToFile(tree_b, index_path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree_b, index_path).ok());
 
   QueryService service(tree_a, net_a.dictionary(), {});
   TcpServer server(service, {});
@@ -1428,7 +1428,7 @@ TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
   TcTree tree = TcTree::Build(net);
   const std::string index_path = StrFormat(
       "/tmp/tcf_golden_reload_%d.idx", static_cast<int>(::getpid()));
-  ASSERT_TRUE(SaveTcTreeToFile(tree, index_path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(tree, index_path).ok());
   QueryService service(tree, net.dictionary(), {});
   IndexUpdater updater(
       std::move(net), std::move(tree),

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <source_location>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/mining_result.h"
 #include "core/pattern_truss.h"
+#include "core/tc_tree.h"
+#include "core/tc_tree_query.h"
 #include "graph/graph_builder.h"
 #include "net/database_network.h"
 #include "net/theme_network.h"
@@ -99,6 +102,65 @@ inline void ExpectSameTruss(const PatternTruss& a, const PatternTruss& b,
   }
   if (!a.edge_cohesions.empty() && !b.edge_cohesions.empty()) {
     EXPECT_EQ(a.edge_cohesions, b.edge_cohesions);
+  }
+}
+
+/// Whether ExpectSameAnswer also compares the walk counters.
+enum class WalkCounters { kIgnore, kCompare };
+
+/// Equality of two query answers: the same trusses in the same order
+/// (ExpectSameTruss each), and with `counters == kCompare` the same
+/// retrieved/visited/pruned counts. Failures point at the caller's line.
+inline void ExpectSameAnswer(
+    const TcTreeQueryResult& expected, const TcTreeQueryResult& actual,
+    const std::string& context, WalkCounters counters = WalkCounters::kIgnore,
+    std::source_location where = std::source_location::current()) {
+  ::testing::ScopedTrace trace(where.file_name(),
+                               static_cast<int>(where.line()), context);
+  if (counters == WalkCounters::kCompare) {
+    EXPECT_EQ(expected.retrieved_nodes, actual.retrieved_nodes);
+    EXPECT_EQ(expected.visited_nodes, actual.visited_nodes);
+    EXPECT_EQ(expected.pruned_subtrees, actual.pruned_subtrees);
+  }
+  ASSERT_EQ(expected.trusses.size(), actual.trusses.size());
+  for (size_t i = 0; i < expected.trusses.size(); ++i) {
+    ExpectSameTruss(expected.trusses[i], actual.trusses[i],
+                    "truss " + std::to_string(i));
+  }
+}
+
+/// Field-for-field equality of two decompositions: pattern, vertices,
+/// frequencies (bitwise), every level's alpha and removed edges, and
+/// the sorted edge set.
+inline void ExpectSameDecomposition(const TrussDecomposition& a,
+                                    const TrussDecomposition& b) {
+  EXPECT_EQ(a.pattern(), b.pattern());
+  EXPECT_EQ(a.sorted_edges(), b.sorted_edges());
+  EXPECT_EQ(a.vertices(), b.vertices());
+  EXPECT_EQ(a.frequencies(), b.frequencies());
+  ASSERT_EQ(a.levels().size(), b.levels().size());
+  for (size_t i = 0; i < a.levels().size(); ++i) {
+    EXPECT_EQ(a.levels()[i].alpha, b.levels()[i].alpha) << "level " << i;
+    EXPECT_EQ(a.levels()[i].removed, b.levels()[i].removed) << "level " << i;
+  }
+}
+
+/// Field-for-field equality of two trees, node id by node id: item,
+/// parent, children and decomposition. Everything an index file stores
+/// is compared, so "saves, maps and materializes to the same tree" and
+/// "builds the same arena" are both this check.
+inline void ExpectSameTree(const TcTree& expected, const TcTree& actual,
+                           const std::string& context = "") {
+  SCOPED_TRACE(context);
+  ASSERT_EQ(expected.num_nodes(), actual.num_nodes());
+  for (TcTree::NodeId id = 0; id <= expected.num_nodes(); ++id) {
+    SCOPED_TRACE("node " + std::to_string(id));
+    const TcTree::Node& a = expected.node(id);
+    const TcTree::Node& b = actual.node(id);
+    EXPECT_EQ(a.item, b.item);
+    EXPECT_EQ(a.parent, b.parent);
+    EXPECT_EQ(a.children, b.children);
+    ExpectSameDecomposition(a.decomposition, b.decomposition);
   }
 }
 

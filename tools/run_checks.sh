@@ -7,9 +7,9 @@
 #    tests).
 # 2. Run the full ctest suite.
 # 3. Exercise `tcf serve` end-to-end: generate a small synthetic
-#    network, build + persist a TC-Tree index, synthesize a 1000-query
-#    workload, and serve it twice — the warm pass must report a nonzero
-#    cache hit rate.
+#    network, build + persist a TC-Tree index (TCFI, the one index
+#    format), synthesize a 1000-query workload, and serve it twice —
+#    the warm pass must report a nonzero cache hit rate.
 # 4. Exercise the network path: start `tcf serve --listen` on an
 #    ephemeral port, drive it with `tcf client` (ping, queries, the
 #    workload both as one-request round trips and as pipelined BATCH
@@ -32,11 +32,12 @@
 #    backend must answer the same traffic, STATS must expose the shard
 #    counters (shards / shard_queries / shard_reload_ms), EXPLAIN must
 #    report shards_probed, and RELOAD must roll shard by shard.
-# 7. TCFI zero-copy snapshot smoke: `tcf index --format=tcfi --slices=2`,
-#    query parity mapped vs. text, clean rejection of torn and
-#    bit-flipped files, RELOAD-to-mmap on a live server (torn RELOAD
-#    fails the client, server keeps serving), and `--shards=2` serving
-#    straight from the mapped slice files.
+# 7. TCFI zero-copy snapshot smoke: `tcf index --slices=2`, query
+#    parity of the mapped file vs. an in-process build, `--format=tcft`
+#    refused, clean rejection of torn and bit-flipped files,
+#    RELOAD-to-mmap on a live server (torn RELOAD fails the client,
+#    server keeps serving), and `--shards=2` serving straight from the
+#    mapped slice files.
 # 8. Overload smoke: a server armed with the walk.deadline failpoint and
 #    a tight --rate-limit-qps must refuse cleanly over the wire — every
 #    refusal a parseable ERR DeadlineExceeded / ERR RateLimited line,
@@ -431,8 +432,8 @@ grep -q "shutting down" "$TMP/server2.log" || {
 echo "OK: sharded network smoke (--shards=2 / STATS / EXPLAIN / RELOAD)"
 
 echo "== tcfi zero-copy snapshot smoke =="
-# The binary index format end-to-end through the CLI: write (+ shard
-# slices), query parity with the text index, RELOAD-to-mmap on a live
+# The index format end-to-end through the CLI: write (+ shard slices),
+# query parity with an in-process build, RELOAD-to-mmap on a live
 # server, sliced sharded serving, and loader rejection of torn/corrupt
 # files — clean errors, never crashes. tests/tcfi_corrupt_test.cc owns
 # the exhaustive mutation property suite; this is the CLI-visible
@@ -440,17 +441,28 @@ echo "== tcfi zero-copy snapshot smoke =="
 "$TCF" index --in="$TMP/smoke.net" --out="$TMP/smoke.tcfi" --threads=2 \
        --slices=2
 
-# Query parity, mapped vs. text-deserialized (timing lines filtered;
-# the truss lines must match byte-for-byte and must be non-empty).
-"$TCF" query --in="$TMP/smoke.net" --index="$TMP/smoke.idx" \
-       --items=s1,s2 --alpha=0 | grep '^  ' > "$TMP/q_text.out"
+# Query parity, mapped vs. built in process (no --index; timing lines
+# filtered; the truss lines must match byte-for-byte and must be
+# non-empty).
+"$TCF" query --in="$TMP/smoke.net" --threads=2 \
+       --items=s1,s2 --alpha=0 | grep '^  ' > "$TMP/q_built.out"
 "$TCF" query --in="$TMP/smoke.net" --index="$TMP/smoke.tcfi" \
        --items=s1,s2 --alpha=0 | grep '^  ' > "$TMP/q_tcfi.out"
-[ -s "$TMP/q_text.out" ] || { echo "FAIL: parity query returned nothing";
-                              exit 1; }
-diff "$TMP/q_text.out" "$TMP/q_tcfi.out" || {
-  echo "FAIL: mapped .tcfi answers diverge from the text index"; exit 1; }
-echo "OK: tcf query over a mapped .tcfi matches the text index"
+[ -s "$TMP/q_built.out" ] || { echo "FAIL: parity query returned nothing";
+                               exit 1; }
+diff "$TMP/q_built.out" "$TMP/q_tcfi.out" || {
+  echo "FAIL: mapped .tcfi answers diverge from an in-process build"
+  exit 1; }
+echo "OK: tcf query over a mapped .tcfi matches an in-process build"
+
+# TCFI is the only index format: asking for another one is refused.
+if "$TCF" index --in="$TMP/smoke.net" --out="$TMP/refused.idx" \
+          --format=tcft 2>/dev/null; then
+  echo "FAIL: tcf index --format=tcft did not exit non-zero"; exit 1
+fi
+[ ! -e "$TMP/refused.idx" ] || {
+  echo "FAIL: a refused --format still wrote an index"; exit 1; }
+echo "OK: tcf index --format=tcft is refused"
 
 # Torn write: a truncated file must be rejected with a clean error.
 head -c 100 "$TMP/smoke.tcfi" > "$TMP/torn.tcfi"
@@ -473,8 +485,8 @@ fi
 echo "OK: torn and bit-flipped .tcfi files are rejected cleanly"
 
 # RELOAD-to-mmap on a live server: roll the .tcfi in over the wire;
-# answers must match the text index it replaces, a RELOAD of a torn
-# file must fail the client and leave the server serving.
+# answers must match the index it replaces, a RELOAD of a torn file
+# must fail the client and leave the server serving.
 "$TCF" serve --in="$TMP/smoke.net" --index="$TMP/smoke.idx" --listen=0 \
        --threads=2 --compose-min-us=0 > "$TMP/server3.log" 2>&1 &
 SERVER_PID=$!
@@ -489,10 +501,10 @@ for _ in $(seq 100); do
 done
 [ -n "$PORT" ] || { echo "FAIL: tcfi server never reported its port";
                     exit 1; }
-"$TCF" client --port="$PORT" --query="0;s1,s2" > "$TMP/r_text.out"
+"$TCF" client --port="$PORT" --query="0;s1,s2" > "$TMP/r_before.out"
 "$TCF" client --port="$PORT" --reload="$TMP/smoke.tcfi"
 "$TCF" client --port="$PORT" --query="0;s1,s2" > "$TMP/r_tcfi.out"
-diff "$TMP/r_text.out" "$TMP/r_tcfi.out" || {
+diff "$TMP/r_before.out" "$TMP/r_tcfi.out" || {
   echo "FAIL: answers changed after RELOAD to the mapped .tcfi"; exit 1; }
 if "$TCF" client --port="$PORT" --reload="$TMP/torn.tcfi" 2>/dev/null; then
   echo "FAIL: RELOAD of a torn .tcfi did not fail the client"; exit 1

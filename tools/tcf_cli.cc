@@ -8,17 +8,17 @@
 //   mine    --in=FILE [--alpha=A] [--method=tcfi|tcfa|tcs] [--epsilon=E]
 //           [--max-len=K] [--top=N]
 //       Mine theme communities and print the top N by size.
-//   index   --in=FILE --out=FILE.idx [--format=tcft|tcfi] [--slices=N]
-//           [--build-threads=T] [--max-nodes=N]
-//       Build a TC-Tree and persist it (the §6 data-warehouse workflow).
-//       Every tree layer builds in parallel over T workers (default:
-//       hardware concurrency; --threads is accepted as a legacy alias).
-//       --format picks the on-disk format (default: tcfi when --out
-//       ends in .tcfi, else tcft, the streaming binary format): tcfi
-//       is the pointer-free binary layout (docs/index-format.md) that
-//       query and serve mmap zero-copy instead of parsing. --slices=N
-//       (tcfi only) additionally writes the N per-shard slice files
-//       `FILE.shard<i>-of-<N>` that `serve --shards=N` maps directly.
+//   index   --in=FILE --out=FILE.idx [--slices=N] [--build-threads=T]
+//           [--max-nodes=N]
+//       Build a TC-Tree and persist it (the §6 data-warehouse workflow)
+//       as a TCFI file, the pointer-free binary layout
+//       (docs/index-format.md) that query and serve mmap zero-copy
+//       instead of parsing. Every tree layer builds in parallel over T
+//       workers (default: hardware concurrency; --threads is accepted
+//       as a legacy alias). --slices=N additionally writes the N
+//       per-shard slice files `FILE.shard<i>-of-<N>` that
+//       `serve --shards=N` maps directly. --format=tcfi is accepted for
+//       older scripts; any other --format value is an error.
 //   query   --in=FILE [--index=FILE.idx] [--alpha=A] [--items=a,b,c]
 //           [--build-threads=T]
 //       Answer one query (item *names*, comma-separated; defaults to all
@@ -100,7 +100,6 @@
 
 #include "core/communities.h"
 #include "core/tc_tree.h"
-#include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
 #include "core/tc_tree_snapshot.h"
 #include "core/tcfi_format.h"
@@ -196,9 +195,8 @@ int Usage() {
                "  stats    --in=FILE\n"
                "  mine     --in=FILE [--alpha=A] [--method=tcfi|tcfa|tcs] "
                "[--epsilon=E] [--max-len=K] [--top=N]\n"
-               "  index    --in=FILE --out=FILE.idx [--format=tcft|tcfi] "
-               "[--slices=N] [--build-threads=T] [--max-nodes=N] "
-               "[--verbose]\n"
+               "  index    --in=FILE --out=FILE.idx [--slices=N] "
+               "[--build-threads=T] [--max-nodes=N] [--verbose]\n"
                "  query    --in=FILE [--index=FILE.idx] [--alpha=A] "
                "[--items=a,b,c] [--build-threads=T]\n"
                "  serve    --in=FILE --workload=FILE [--index=FILE.idx] "
@@ -350,6 +348,16 @@ size_t BuildThreadsArg(const Args& args) {
 }
 
 int CmdIndex(const Args& args) {
+  // TCFI is the only index format; --format=tcfi stays accepted so that
+  // scripts written when there was a choice keep working.
+  if (const std::string format = args.Get("format", "tcfi");
+      format != "tcfi") {
+    std::fprintf(stderr,
+                 "index: --format=%s is not supported: tcfi is the only "
+                 "index format\n",
+                 format.c_str());
+    return 2;
+  }
   auto net = LoadArg(args);
   if (!net.ok()) {
     std::fprintf(stderr, "index: %s\n", net.status().ToString().c_str());
@@ -388,21 +396,8 @@ int CmdIndex(const Args& args) {
     std::printf("\nbuild metrics (tcf_build_*):\n%s",
                 build_metrics.Render().c_str());
   }
-  std::string format = args.Get("format", "");
-  if (format.empty()) format = EndsWith(out, ".tcfi") ? "tcfi" : "tcft";
-  if (format != "tcft" && format != "tcfi") {
-    std::fprintf(stderr, "index: --format=%s is not tcft|tcfi\n",
-                 format.c_str());
-    return 2;
-  }
   const size_t slices = args.GetUint("slices", 0);
-  if (slices >= 2 && format != "tcfi") {
-    std::fprintf(stderr, "index: --slices=N needs --format=tcfi\n");
-    return 2;
-  }
-  if (Status s = format == "tcfi" ? SaveTcTreeBinary(tree, out)
-                                  : SaveTcTreeToFile(tree, out);
-      !s.ok()) {
+  if (Status s = SaveTcTreeBinary(tree, out); !s.ok()) {
     std::fprintf(stderr, "index: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -411,18 +406,17 @@ int CmdIndex(const Args& args) {
       std::fprintf(stderr, "index: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s (%s) + %zu shard slices\n", out.c_str(),
-                format.c_str(), slices);
+    std::printf("wrote %s (tcfi) + %zu shard slices\n", out.c_str(),
+                slices);
   } else {
-    std::printf("wrote %s (%s)\n", out.c_str(), format.c_str());
+    std::printf("wrote %s (tcfi)\n", out.c_str());
   }
   return 0;
 }
 
-/// Shared by query/serve: load a persisted TC-Tree when --index=FILE is
-/// given — a TCFI file (sniffed by magic) is mmap'ed and served
-/// zero-copy, a TCFT file is parsed into an owned tree — otherwise
-/// build one in-process over `BuildThreadsArg` workers. Prints what it
+/// Shared by query/serve: mmap the TCFI index at --index=FILE and serve
+/// it zero-copy when one is given, otherwise build one in-process over
+/// `BuildThreadsArg` workers. Prints what it
 /// did — including the build/load wall time an operator compares
 /// against the `last_reload_ms` STATS key — and returns nullopt (after
 /// printing the error) on a failed load.
@@ -432,26 +426,15 @@ std::optional<TcTreeSnapshot> LoadOrBuildSnapshot(const Args& args,
   WallTimer t;
   const std::string index_path = args.Get("index", "");
   if (!index_path.empty()) {
-    if (LooksLikeTcfiFile(index_path)) {
-      auto mapped = MapTcTree(index_path);
-      if (!mapped.ok()) {
-        std::fprintf(stderr, "%s: %s\n", cmd,
-                     mapped.status().ToString().c_str());
-        return std::nullopt;
-      }
-      std::printf("TC-Tree: %zu nodes mapped zero-copy from %s in %.3f s\n",
-                  mapped->num_nodes(), index_path.c_str(), t.Seconds());
-      return TcTreeSnapshot(std::move(*mapped));
-    }
-    auto loaded = LoadTcTreeFromFile(index_path);
-    if (!loaded.ok()) {
+    auto mapped = MapTcTree(index_path);
+    if (!mapped.ok()) {
       std::fprintf(stderr, "%s: %s\n", cmd,
-                   loaded.status().ToString().c_str());
+                   mapped.status().ToString().c_str());
       return std::nullopt;
     }
-    std::printf("TC-Tree: %zu nodes loaded from %s in %.2f s\n",
-                loaded->num_nodes(), index_path.c_str(), t.Seconds());
-    return TcTreeSnapshot(std::move(*loaded));
+    std::printf("TC-Tree: %zu nodes mapped zero-copy from %s in %.3f s\n",
+                mapped->num_nodes(), index_path.c_str(), t.Seconds());
+    return TcTreeSnapshot(std::move(*mapped));
   }
   const size_t build_threads = BuildThreadsArg(args);
   TcTree tree = TcTree::Build(
@@ -541,7 +524,7 @@ void ApplyTracingArgs(const Args& args, QueryServiceOptions* options) {
 /// item-space shards (rolling RELOAD, per-shard caches; see
 /// docs/architecture.md). Sharded serving prefers the N per-shard TCFI
 /// slice files `TcfiSlicePath(--index, s, N)` (written by `tcf index
-/// --format=tcfi --slices=N`) — each shard maps its own slice, no
+/// --slices=N`) — each shard maps its own slice, no
 /// partitioning work. When `baseline` is non-null (the streaming
 /// updater needs an owned whole-tree copy of what is being served) it
 /// is filled and the slice path is skipped — slices cannot reconstruct
@@ -552,25 +535,20 @@ std::unique_ptr<QueryBackend> MakeServeBackend(
   const size_t shards = args.GetUint("shards", 1);
   if (shards >= 2) {
     const std::string index_path = args.Get("index", "");
-    if (baseline == nullptr && !index_path.empty()) {
-      bool all_slices = true;
-      for (size_t s = 0; s < shards && all_slices; ++s) {
-        all_slices = LooksLikeTcfiFile(TcfiSlicePath(index_path, s, shards));
+    if (baseline == nullptr && !index_path.empty() &&
+        TcfiSlicesExist(index_path, shards)) {
+      WallTimer t;
+      auto sharded = ShardedQueryService::OpenSlices(
+          index_path, net.dictionary(), shards, options);
+      if (!sharded.ok()) {
+        std::fprintf(stderr, "serve: %s\n",
+                     sharded.status().ToString().c_str());
+        return nullptr;
       }
-      if (all_slices) {
-        WallTimer t;
-        auto sharded = ShardedQueryService::OpenSlices(
-            index_path, net.dictionary(), shards, options);
-        if (!sharded.ok()) {
-          std::fprintf(stderr, "serve: %s\n",
-                       sharded.status().ToString().c_str());
-          return nullptr;
-        }
-        std::printf(
-            "TC-Tree: %zu shard slices of %s mapped zero-copy in %.3f s\n",
-            shards, index_path.c_str(), t.Seconds());
-        return std::move(*sharded);
-      }
+      std::printf(
+          "TC-Tree: %zu shard slices of %s mapped zero-copy in %.3f s\n",
+          shards, index_path.c_str(), t.Seconds());
+      return std::move(*sharded);
     }
     std::optional<TcTree> tree = LoadOrBuildTree(args, net, "serve");
     if (!tree) return nullptr;
