@@ -54,7 +54,6 @@
 #include "serve/line_protocol.h"
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "serve/tcp_server.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -278,10 +277,10 @@ void RunZipfDataset(const char* name, const DatabaseNetwork& net,
 
 /// --shards: QPS/p99 per shard count over the Zipf workload (one tree,
 /// partitioned N ways; scatter-gather merge per query). The shards=1
-/// row is the plain unsharded QueryService — the baseline the router
-/// overhead is measured against. Every row must return the same truss
-/// count (the answers are property-tested equal in
-/// tests/shard_router_test.cc; this is the belt-and-braces smoke).
+/// row serves the tree whole — the baseline the scatter overhead is
+/// measured against. Every row must return the same truss count (the
+/// answers are property-tested equal in tests/shard_router_test.cc;
+/// this is the belt-and-braces smoke).
 void RunShardDataset(const char* name, const DatabaseNetwork& net,
                      size_t queries, bool csv, bool tracing,
                      bench::JsonWriter* json) {
@@ -305,15 +304,10 @@ void RunShardDataset(const char* name, const DatabaseNetwork& net,
     QueryServiceOptions options;
     options.num_threads = 4;
     options.cache_bytes = size_t{256} << 20;
+    options.num_shards = shards;
     options.tracing = tracing;
-    std::unique_ptr<QueryBackend> backend;
-    if (shards == 1) {
-      backend = std::make_unique<QueryService>(tree, net.dictionary(),
-                                               options);
-    } else {
-      backend = std::make_unique<ShardedQueryService>(
-          tree, net.dictionary(), shards, options);
-    }
+    auto backend =
+        std::make_unique<QueryService>(tree, net.dictionary(), options);
 
     const ServeReport start = backend->Report();
     backend->ExecuteBatch(cold);
@@ -328,10 +322,9 @@ void RunShardDataset(const char* name, const DatabaseNetwork& net,
     if (shards == 1) expect_trusses = trusses;
     if (trusses != expect_trusses) parity_ok = false;
     const double fanout =
-        report.queries > 0 && report.shards > 0
-            ? static_cast<double>(report.shard_queries) /
-                  static_cast<double>(report.queries)
-            : 1.0;
+        report.queries > 0 ? static_cast<double>(report.shard_queries) /
+                                 static_cast<double>(report.queries)
+                           : 1.0;
     table.AddRow({shards == 1 ? "1 (unsharded)" : TextTable::Num(shards),
                   TextTable::Num(cold_report.qps, 0),
                   TextTable::Num(report.qps, 0),
@@ -557,15 +550,10 @@ void RunChurnDataset(const char* name,
     options.cache_bytes = size_t{256} << 20;
     options.cache_composition = true;
     options.cache_admit_derived = true;
+    options.num_shards = shards;
     options.tracing = tracing;
-    std::unique_ptr<QueryBackend> backend;
-    if (shards == 1) {
-      backend = std::make_unique<QueryService>(tree, net.dictionary(),
-                                               options);
-    } else {
-      backend = std::make_unique<ShardedQueryService>(tree, net.dictionary(),
-                                                      shards, options);
-    }
+    auto backend =
+        std::make_unique<QueryService>(tree, net.dictionary(), options);
     const std::vector<ServeQuery> workload = MakeWorkload(net, queries, 17);
 
     // Base pass: the same warm-cache traffic with no updates in flight.

@@ -17,14 +17,14 @@ namespace tcf {
 /// pattern exactly one owner and the per-shard answer sets of any query
 /// are disjoint. Merging them back on (pattern length, lexicographic
 /// items) reconstructs the single-tree BFS retrieval order exactly —
-/// see PartitionTcTree and serve/shard_router.h.
+/// see PartitionTcTree and serve/query_service.h.
 class ShardPartitioner {
  public:
   virtual ~ShardPartitioner() = default;
 
   /// Shard owning the layer-1 subtree of `item`. Must be < `num_shards`
-  /// and deterministic (the router and the build-side partitioner must
-  /// agree forever).
+  /// and deterministic (the serving side and the build-side partitioner
+  /// must agree forever).
   virtual size_t ShardOf(ItemId item, size_t num_shards) const = 0;
 };
 
@@ -49,7 +49,7 @@ class HashShardPartitioner : public ShardPartitioner {
 /// knob — including the global `max_nodes` budget, whose deterministic
 /// commit-order semantics no independent per-shard build can replicate
 /// — applies exactly as in the unsharded system. This is the
-/// construction path ShardedQueryService uses.
+/// construction path a sharded QueryService uses.
 std::vector<TcTree> PartitionTcTree(TcTree tree,
                                     const ShardPartitioner& partitioner,
                                     size_t num_shards);

@@ -107,14 +107,30 @@ Status WriteSection(std::ofstream& os, uint64_t offset, const void* data,
   return Status::OK();
 }
 
+constexpr char kMagic[4] = {'T', 'C', 'F', 'I'};
+
+Status BadMagic() {
+  return Status::Corruption(
+      "bad tcfi magic: not a TCFI index file (rebuild it with `tcf index`)");
+}
+
+/// The refusal for a file too short to hold the header, whose first
+/// `got` bytes are `head`. Four bytes that are not the magic mean another
+/// format altogether, so that file gets the rebuild hint, not a size
+/// complaint.
+Status ShortFileStatus(const char* head, size_t got) {
+  if (got >= sizeof(kMagic) && std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
+    return BadMagic();
+  }
+  return Status::Corruption("tcfi file shorter than its header");
+}
+
 /// Reads and fully validates the fixed header (magic, endianness,
 /// version, CRC, size match, section-table sanity). `actual_size` is
 /// the byte count on disk.
 Status ValidateHeader(const TcfiHeader& header, uint64_t actual_size) {
-  static const char kMagic[4] = {'T', 'C', 'F', 'I'};
-  if (std::memcmp(header.magic, kMagic, 4) != 0) {
-    return Status::Corruption(
-        "bad tcfi magic: not a TCFI index file (rebuild it with `tcf index`)");
+  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
+    return BadMagic();
   }
   if (header.endian != kTcfiEndianMarker) {
     const uint32_t swapped = __builtin_bswap32(header.endian);
@@ -355,8 +371,10 @@ StatusOr<MappedTcTree> MapTcTree(const std::string& path,
   }
   const auto actual_size = static_cast<uint64_t>(st.st_size);
   if (actual_size < sizeof(TcfiHeader)) {
+    char head[sizeof(kMagic)];
+    const ssize_t got = ::pread(fd, head, sizeof(head), 0);
     ::close(fd);
-    return Status::Corruption("tcfi file shorter than its header");
+    return ShortFileStatus(head, got > 0 ? static_cast<size_t>(got) : 0);
   }
   void* base = ::mmap(nullptr, actual_size, PROT_READ, MAP_SHARED, fd, 0);
   ::close(fd);  // the mapping holds its own reference
@@ -499,10 +517,12 @@ Status ProbeTcfiFile(const std::string& path) {
   if (!f.is_open()) return Status::IOError("cannot open for read: " + path);
   f.seekg(0, std::ios::end);
   const auto actual_size = static_cast<uint64_t>(f.tellg());
-  if (actual_size < sizeof(TcfiHeader)) {
-    return Status::Corruption("tcfi file shorter than its header");
-  }
   f.seekg(0);
+  if (actual_size < sizeof(TcfiHeader)) {
+    char head[sizeof(kMagic)];
+    f.read(head, sizeof(head));
+    return ShortFileStatus(head, static_cast<size_t>(f.gcount()));
+  }
   TcfiHeader header;
   f.read(reinterpret_cast<char*>(&header), sizeof(header));
   if (!f.good()) return Status::IOError("cannot read header: " + path);

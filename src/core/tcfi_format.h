@@ -297,8 +297,8 @@ std::string TcfiSlicePath(const std::string& base, size_t shard,
 bool TcfiSlicesExist(const std::string& base, size_t num_shards);
 
 /// Partitions a tree (core/partition.h semantics — pattern owned by the
-/// shard of its minimum item, HashShardPartitioner as in
-/// ShardedQueryService's default) and writes one TCFI slice per shard
+/// shard of its minimum item, HashShardPartitioner as a sharded
+/// QueryService uses) and writes one TCFI slice per shard
 /// next to `base` (TcfiSlicePath names), each stamped with its
 /// shard_id/num_shards.
 Status SaveTcfiShardSlices(TcTree tree, const std::string& base,

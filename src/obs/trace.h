@@ -73,9 +73,9 @@ struct QueryTrace {
   uint64_t trusses = 0;          // result size
   bool cache_hit = false;        // exact-match hit, no walk at all
   bool composed = false;         // answered by cover composition
-  /// Shards this query fanned out to (serve/shard_router.h). 0 means
-  /// the query ran on an unsharded backend; 1 is the sharded
-  /// single-owner fast path; >1 is a scatter-gather merge.
+  /// Shards this query fanned out to (serve/query_service.h): 1 when
+  /// one shard owns every item of the query (always when unsharded),
+  /// >1 for a scatter-gather merge.
   uint64_t shards_probed = 0;
   /// Streaming updates the backend had applied when this query ran
   /// (core/tc_tree_update.h) — pins an EXPLAIN to an index freshness

@@ -53,14 +53,13 @@ StatusOr<ServeQuery> ParseServeQuery(const ItemDictionary& dictionary,
 
 /// \brief What a transport needs from whatever answers queries.
 ///
-/// TcpServer, the CLI serve loop, and the benches are written against
-/// this interface, so a single-tree QueryService and the scatter-gather
-/// ShardedQueryService (serve/shard_router.h) are interchangeable
-/// behind one `--shards=N` flag. The contract every implementation
-/// honours: Execute never returns null, answers are in single-tree BFS
-/// retrieval order field-for-field, all entry points are thread-safe,
-/// and SwapSnapshot rolls a new index in under live traffic without
-/// mixing snapshots inside any one answer.
+/// TcpServer, FileWatcher, the CLI serve loop, and the benches are
+/// written against this interface; QueryService (serve/query_service.h)
+/// implements it for any shard count, so `--shards=N` changes no caller.
+/// The contract: Execute never returns null, answers are in single-tree
+/// BFS retrieval order field-for-field, all entry points are
+/// thread-safe, and the swaps roll a new index in under live traffic
+/// without mixing snapshots inside any one shard's answer.
 class QueryBackend {
  public:
   using Result = std::shared_ptr<const TcTreeQueryResult>;
@@ -91,30 +90,18 @@ class QueryBackend {
   /// the pattern-bearing node count installed. Every RELOAD surface
   /// (the wire verb, `--watch`, operational tooling) funnels through
   /// here. A file MapTcTree rejects leaves the live snapshot untouched.
-  /// The default implementation works for any backend via SwapSnapshot
-  /// (materializing the mapped file); QueryService and
-  /// ShardedQueryService override it to install mapped snapshots
-  /// directly.
-  virtual StatusOr<size_t> ReloadFromFile(const std::string& path);
+  virtual StatusOr<size_t> ReloadFromFile(const std::string& path) = 0;
 
   /// Installs an *incrementally updated* snapshot (the UPDATE verb /
   /// IndexUpdater sink; core/tc_tree_update.h). `changed_roots` are the
   /// layer-1 items whose subtrees may differ from the live snapshot's,
-  /// and `dirty_items` the items whose patterns changed — backends use
-  /// them to bound the work: a sharded backend swaps only the shards
-  /// owning a changed root, a caching backend drops only the entries
-  /// whose patterns intersect the dirty set and keeps the rest serving.
-  /// Returns the number of shard snapshots actually swapped. The
-  /// default ignores the hints and does a plain full swap (correct for
-  /// any backend; just not targeted).
-  virtual size_t ApplyUpdatedSnapshot(TcTree tree,
-                                      const std::vector<ItemId>& changed_roots,
-                                      const std::vector<ItemId>& dirty_items) {
-    (void)changed_roots;
-    (void)dirty_items;
-    SwapSnapshot(std::move(tree));
-    return 1;
-  }
+  /// and `dirty_items` the items whose patterns changed. They bound the
+  /// work: only the shards owning a changed root swap, and their caches
+  /// drop only the entries whose patterns intersect the dirty set.
+  /// Returns the number of shard snapshots actually swapped.
+  virtual size_t ApplyUpdatedSnapshot(
+      TcTree tree, const std::vector<ItemId>& changed_roots,
+      const std::vector<ItemId>& dirty_items) = 0;
 
   virtual const ItemDictionary& dictionary() const = 0;
   virtual size_t num_threads() const = 0;

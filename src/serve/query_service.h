@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/partition.h"
 #include "core/tc_tree.h"
 #include "core/tc_tree_query.h"
 #include "core/tc_tree_snapshot.h"
@@ -53,6 +54,10 @@ struct QueryServiceOptions {
   /// and the cache behaves exactly-only. 0 engages partial reuse
   /// unconditionally (tests and smoke checks use this).
   double cache_compose_min_walk_us = 100.0;
+  /// Item-space shards (`tcf serve --shards`). 1 serves the tree whole;
+  /// N >= 2 splits it by layer-1 item ownership and gives each shard
+  /// `cache_bytes / N` of cache. 0 means 1.
+  size_t num_shards = 1;
   /// Per-query traversal knobs, fixed for the service's lifetime so that
   /// cached results are interchangeable with fresh ones.
   TcTreeQueryOptions query_options;
@@ -77,23 +82,42 @@ struct QueryServiceOptions {
   size_t trace_sample_every = 1;
 };
 
-/// \brief The online query-answering facade (§6.3 as a service).
+/// \brief The online query-answering facade (§6.3 as a service), over
+/// N >= 1 item-space shards.
 ///
-/// Owns an immutable TC-Tree snapshot (built in-process or mapped from a
-/// TCFI file, core/tcfi_format.h), the item dictionary used to resolve
-/// query item names, a sharded result cache, and a worker pool.
-/// `Execute` answers a single query; `ExecuteBatch` fans a workload out
-/// over the pool. All entry points are thread-safe: the tree snapshot is
-/// read-only and reference counted, and the cache does its own locking.
+/// Every pattern's TC-Tree node hangs under the layer-1 node of its
+/// minimum item, so splitting the layer-1 items into N shards
+/// (PartitionTcTree, HashShardPartitioner) is lossless and the
+/// per-shard answer sets of any query are disjoint. A shard is only a
+/// snapshot (built in-process or mapped from a TCFI file,
+/// core/tcfi_format.h) plus a result cache of `cache_bytes / N` bytes.
+/// Everything else exists once per service: the item dictionary, the
+/// metrics registry and its instruments, the compose gate, and the
+/// worker pool behind ExecuteBatch. An unsharded server is the N = 1
+/// case: its one shard serves the snapshot as handed in, never
+/// partitioned or materialized.
 ///
-/// `SwapSnapshot` installs a new tree (e.g. a freshly rebuilt index)
-/// without stopping traffic: in-flight queries finish against the old
-/// snapshot, the cache is invalidated, and results computed against the
-/// superseded snapshot are dropped rather than cached (epoch check).
+/// Execute sends a query whose items all live on one shard straight to
+/// that shard (every query when N = 1). Any other query scatters to
+/// the shards owning one of its items and k-way-merges their trusses on
+/// (pattern length, lexicographic items), which is exactly single-tree
+/// BFS retrieval order: BFS retrieval at each depth is lexicographic in
+/// the patterns. The merged answer equals the unsharded one field for
+/// field (tests/shard_router_test.cc); with `max_results` set, the
+/// trusses and retrieved_nodes stay exact while visited/pruned may
+/// exceed the single-tree walk's (each shard walks to its own budget).
+///
+/// All entry points are thread-safe: snapshots are read-only and
+/// reference counted, and the caches do their own locking. Swaps roll
+/// shard by shard: in-flight queries finish against the old snapshot,
+/// the swapped shard's cache is invalidated, and results computed
+/// against a superseded snapshot are dropped rather than cached (epoch
+/// check). A query scattered mid-roll may merge old-shard and new-shard
+/// answers, which is sound because shard answer sets are disjoint.
 class QueryService : public QueryBackend {
  public:
-  /// The primary constructor: serves whichever snapshot flavor it is
-  /// handed — a heap-owned TcTree or a zero-copy mmap'ed TCFI file.
+  /// Serves `snapshot`, split into `options.num_shards` shards (kept
+  /// whole when that is 1).
   QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
                const QueryServiceOptions& options = {});
 
@@ -104,8 +128,12 @@ class QueryService : public QueryBackend {
 
   /// Maps a persisted TCFI index and pairs it with `dictionary` (the
   /// network's, so query item names resolve to the ids the index was
-  /// built over). The mapped snapshot is served zero-copy; a file that
-  /// is not TCFI fails with MapTcTree's Corruption.
+  /// built over). With `options.num_shards` N >= 2 and all N slice files
+  /// `TcfiSlicePath(index_path, s, N)` present (`tcf index --slices=N`),
+  /// each shard maps its own slice; every slice must map and carry
+  /// matching shard metadata or the open fails. Otherwise the whole
+  /// file is mapped: served zero-copy at N = 1, partitioned at N >= 2.
+  /// A file that is not TCFI fails with MapTcTree's Corruption.
   static StatusOr<std::unique_ptr<QueryService>> Open(
       const std::string& index_path, ItemDictionary dictionary,
       const QueryServiceOptions& options = {});
@@ -135,22 +163,32 @@ class QueryService : public QueryBackend {
     return ParseServeQuery(dictionary_, line);
   }
 
-  /// Installs a new snapshot (either flavor) and invalidates the cache.
+  /// Installs a new whole-tree snapshot (either flavor), split across
+  /// the shards, rolling one shard at a time; every cache is
+  /// invalidated.
   void SwapSnapshot(TcTreeSnapshot snapshot);
-  /// Installs a new tree snapshot and invalidates the cache.
   void SwapSnapshot(TcTree tree) override;
 
-  /// RELOAD from disk: the TCFI file is installed as a mapped snapshot
-  /// (no materialization — the load is validation plus an epoch swap).
-  /// See QueryBackend::ReloadFromFile.
+  /// Installs `shard_snapshot` as shard `shard`'s (it must be that
+  /// shard's partition); the other shards keep snapshot and cache. With
+  /// `dirty_items` the shard's cache keeps every entry that does not
+  /// intersect them; without, it is flushed. The unit every swap rolls.
+  void SwapShardSnapshot(size_t shard, TcTreeSnapshot shard_snapshot,
+                         const std::vector<ItemId>* dirty_items = nullptr);
+
+  /// RELOAD from disk, loading as Open does: the N slice files when they
+  /// are all present, else the whole file. Every part is mapped and
+  /// checked before the first shard swaps, so a bad file leaves the
+  /// live snapshots untouched. Returns the nodes installed.
   StatusOr<size_t> ReloadFromFile(const std::string& path) override;
 
-  /// Incremental swap (core/tc_tree_update.h): installs the updated
-  /// tree, then drops *only* the cached entries whose pattern
-  /// intersects `dirty_items` — survivors are retagged to the new
-  /// snapshot and keep serving as exact hits and composition covers.
-  /// Always returns 1 (one snapshot swapped; `changed_roots` only
-  /// matters to sharded backends).
+  /// Incremental swap (core/tc_tree_update.h): splits the updated tree
+  /// and rolls only the shards owning a changed layer-1 root (always the
+  /// one shard when N = 1). A shard owning none got a partition
+  /// identical to the one it serves, so it keeps snapshot and cache.
+  /// Swapped shards drop *only* the cached entries whose pattern
+  /// intersects `dirty_items`; survivors are retagged to the new
+  /// snapshot and keep serving. Returns the number of shards swapped.
   size_t ApplyUpdatedSnapshot(TcTree tree,
                               const std::vector<ItemId>& changed_roots,
                               const std::vector<ItemId>& dirty_items) override;
@@ -160,19 +198,23 @@ class QueryService : public QueryBackend {
     return updates_applied_.load(std::memory_order_relaxed);
   }
 
-  /// The current snapshot (shared; stays valid across swaps).
-  std::shared_ptr<const TcTreeSnapshot> snapshot() const;
+  /// Shard `shard`'s current snapshot — the whole tree when N = 1
+  /// (shared; stays valid across swaps).
+  std::shared_ptr<const TcTreeSnapshot> snapshot(size_t shard = 0) const;
+
+  size_t num_shards() const { return shards_.size(); }
+  /// The shard owning `item`'s layer-1 subtree.
+  size_t ShardOfItem(ItemId item) const {
+    return partitioner_.ShardOf(item, shards_.size());
+  }
 
   const ItemDictionary& dictionary() const override { return dictionary_; }
   size_t num_threads() const override { return pool_.num_threads(); }
 
-  ResultCacheStats cache_stats() const override {
-    return cache_ ? cache_->Stats() : ResultCacheStats{};
-  }
-  /// The registry fold plus the cache counters.
-  ServeReport Report() const override {
-    return instruments_.Report(cache_stats());
-  }
+  /// Field-wise sum over the shard caches.
+  ResultCacheStats cache_stats() const override;
+  /// The registry fold plus the cache and shard counters.
+  ServeReport Report() const override;
 
   /// The service-owned metrics registry (rendered by the METRICS verb).
   /// Transports and build hooks register their own instruments here.
@@ -185,6 +227,44 @@ class QueryService : public QueryBackend {
   bool tracing_enabled() const override { return options_.tracing; }
 
  private:
+  /// One item-space shard: a snapshot and its result cache.
+  struct Shard {
+    mutable std::mutex mu;  // guards `snapshot`
+    std::shared_ptr<const TcTreeSnapshot> snapshot;
+    std::unique_ptr<ResultCache> cache;  // null when caching is disabled
+    Counter* queries = nullptr;          // tcf_shard<s>_queries_total
+    Gauge* reload_ms = nullptr;          // tcf_shard<s>_reload_ms
+
+    std::shared_ptr<const TcTreeSnapshot> Current() const {
+      std::lock_guard<std::mutex> lock(mu);
+      return snapshot;
+    }
+  };
+
+  /// Serves `parts` as shards 0..N-1 (N = parts.size() >= 1).
+  QueryService(std::vector<TcTreeSnapshot> parts, ItemDictionary dictionary,
+               const QueryServiceOptions& options);
+
+  /// The shard owning every item of `items` (shard 0 for an empty
+  /// query), or num_shards() when the items span several shards.
+  size_t SoleOwner(const Itemset& items) const;
+
+  /// One shard's answer: exact cache probe, then composition or a walk,
+  /// then cache admission. Fills `t`'s stage spans and walk facts, and
+  /// sets `*walk_us` to the CPU µs of a full walk that ran to the end
+  /// (leaving it alone otherwise); the caller records the per-query
+  /// instruments and the compose gate's sample.
+  Result ExecuteOnShard(Shard& shard, const ServeQuery& query,
+                        CohesionValue alpha_q,
+                        const TcTreeQueryOptions& walk_options,
+                        QueryTrace* t, double* walk_us);
+
+  /// Scatters `query` to every shard owning one of its items and merges
+  /// their answers; `*probed` is the number of shards it targets.
+  Result ExecuteScattered(const ServeQuery& query, CohesionValue alpha_q,
+                          const TcTreeQueryOptions& walk_options,
+                          QueryTrace* t, size_t* probed);
+
   /// True when subset composition is both enabled and sound (the
   /// result-shaping query_options knobs are off; see ComposeTcTreeQuery
   /// preconditions) for a query over `items`.
@@ -202,25 +282,28 @@ class QueryService : public QueryBackend {
   /// a few cold-start outliers forever.)
   bool ShouldSampleWalk();
 
-  /// Folds one measured full-walk miss latency into the EWMA behind
-  /// ShouldCompose.
+  /// Folds one query's measured full-walk cost into the EWMA behind
+  /// ShouldCompose: the sum over its shards, so the gate sees what the
+  /// whole walk costs at any shard count.
   void RecordWalkMicros(double micros);
 
   /// Derives answers for `items`'s size-(|items|−1) sub-itemsets from
-  /// `result` and admits the ones not already resident (see
+  /// `result` and admits the ones not already resident in `cache` (see
   /// QueryServiceOptions::cache_admit_derived).
-  void AdmitDerivedSubsets(const Itemset& items, CohesionValue alpha_q,
-                           const Result& result, uint64_t epoch_seen,
+  void AdmitDerivedSubsets(ResultCache& cache, const Itemset& items,
+                           CohesionValue alpha_q, const Result& result,
+                           uint64_t epoch_seen,
                            const std::shared_ptr<const TcTreeSnapshot>& snap);
 
-  // Declared before the cache so the registry (whose callback
-  // instruments read it at scrape time) is destroyed last.
+  // Declared first so the registry (whose callback instruments read the
+  // shards at scrape time) is destroyed last.
   MetricsRegistry metrics_;
   ItemDictionary dictionary_;
   QueryServiceOptions options_;
   QueryInstruments instruments_;
+  HashShardPartitioner partitioner_;
   ThreadPool pool_;
-  std::unique_ptr<ResultCache> cache_;  // null when caching is disabled
+  std::vector<Shard> shards_;
 
   // Hot-path instrument handles, resolved once at construction.
   Counter& cache_hits_total_;
@@ -229,6 +312,9 @@ class QueryService : public QueryBackend {
   Counter& covers_used_total_;
   Counter& nodes_visited_total_;
   Counter& prunes_total_;
+  Counter& shard_queries_total_;
+  Histogram& fanout_;
+  Gauge& shard_reload_ms_;
   /// EWMA (α = 0.1) of full-walk miss latency, µs. Composed misses do
   /// not update it — it tracks what a walk *would* cost, so the gate
   /// cannot oscillate by measuring its own savings; ShouldSampleWalk's
@@ -236,9 +322,6 @@ class QueryService : public QueryBackend {
   std::atomic<double> walk_us_ewma_{0.0};
   std::atomic<uint64_t> composable_misses_{0};  // ShouldSampleWalk clock
   std::atomic<uint64_t> updates_applied_{0};    // incremental swaps so far
-
-  mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const TcTreeSnapshot> snapshot_;
 };
 
 }  // namespace tcf

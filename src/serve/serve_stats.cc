@@ -98,8 +98,8 @@ TextTable ServeReport::ToTable() const {
     t.AddRow({"last reload (ms)", TextTable::Num(last_reload_ms)});
   }
   // Shard rows appear only on a sharded backend, so single-tree
-  // reports keep their PR-1 shape.
-  if (shards > 0) {
+  // reports keep their shape.
+  if (shards > 1) {
     t.AddRow({"shards", TextTable::Num(shards)});
     t.AddRow({"shard queries", TextTable::Num(shard_queries)});
     if (queries > 0) {

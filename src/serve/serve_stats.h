@@ -62,9 +62,10 @@ struct ServeReport {
   uint64_t reloads = 0;
   double last_reload_ms = 0;
 
-  // Sharding counters (serve/shard_router.h; all zero on an unsharded
-  // backend). `shard_queries` counts per-shard sub-queries — divided by
-  // `queries` it is the mean scatter fan-out. `shard_reload_ms` is the
+  // Sharding counters (serve/query_service.h). `shards` is the shard
+  // count, 1 when unsharded. `shard_queries` counts per-shard
+  // sub-queries (one per query when unsharded) — divided by `queries`
+  // it is the mean scatter fan-out. `shard_reload_ms` is the
   // wall time of the most recent *single-shard* snapshot swap: the
   // longest pause any one shard's cache sees during a rolling reload,
   // as opposed to `last_reload_ms`, which times the whole roll.
@@ -148,8 +149,8 @@ struct ServeCounters {
   Gauge& clients_tracked;
 };
 
-/// \brief The per-query instruments both backends (QueryService and
-/// ShardedQueryService) record Execute into: tcf_queries_total,
+/// \brief The per-query instruments QueryService::Execute records
+/// into, once per query whatever the shard count: tcf_queries_total,
 /// tcf_query_total_us, tcf_trusses_returned_total, the stage
 /// histograms, tcf_slow_queries_total with the slow-query ring, and the
 /// tcf_query_latency_p99_us gauge — plus the ServeCounters that

@@ -90,8 +90,8 @@ struct TcpServerOptions {
 /// first work shed at the watermark.
 inline constexpr size_t kShedLargeQueryItems = 4;
 
-/// \brief Line-protocol TCP front end over a QueryBackend
-/// (a single-tree QueryService or the sharded scatter-gather router).
+/// \brief Line-protocol TCP front end over a QueryBackend (a
+/// QueryService of any shard count).
 ///
 /// `Start()` binds a POSIX listening socket and spawns one event-loop
 /// thread. The loop owns every connection through a level-triggered

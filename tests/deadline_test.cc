@@ -11,7 +11,6 @@
 #include "net/database_network.h"
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 
 namespace tcf {
@@ -113,7 +112,7 @@ TEST(DeadlineTest, ShardedServiceReportsAndCountsExpiry) {
   o.seed = 7;
   DatabaseNetwork net = MakeRandomNetwork(o);
   TcTree tree = TcTree::Build(net);
-  ShardedQueryService service(std::move(tree), net.dictionary(), 3, {});
+  QueryService service(std::move(tree), net.dictionary(), {.num_shards = 3});
 
   ServeQuery query;
   query.items = Itemset({0, 1, 2, 3});

@@ -34,7 +34,6 @@
 #include "net/sampler.h"
 #include "serve/line_protocol.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "serve/tcp_server.h"
 #include "test_util.h"
 
@@ -102,7 +101,7 @@ TEST_P(E2EFuzzTest, PipelineStagesAgree) {
   // --- Sharded serving is byte-identical on the wire. --------------------
   // Render every query's answer exactly as the serve layer would (one
   // EncodeTruss line per truss) through an unsharded QueryService and a
-  // ShardedQueryService over the same build, and require the serialized
+  // 2-4-shard one over the same build, and require the serialized
   // response streams to match byte for byte.
   {
     QueryServiceOptions bare;
@@ -110,8 +109,9 @@ TEST_P(E2EFuzzTest, PipelineStagesAgree) {
     bare.cache_bytes = 0;
     bare.tracing = false;
     QueryService unsharded(tree, net.dictionary(), bare);
-    const size_t num_shards = 2 + seed % 3;
-    ShardedQueryService sharded(tree, net.dictionary(), num_shards, bare);
+    QueryServiceOptions split = bare;
+    split.num_shards = 2 + seed % 3;
+    QueryService sharded(tree, net.dictionary(), split);
     std::vector<ServeQuery> queries;
     queries.push_back({everything, alpha});
     for (ItemId item : net.ActiveItems()) {
@@ -132,7 +132,7 @@ TEST_P(E2EFuzzTest, PipelineStagesAgree) {
     };
     EXPECT_EQ(render(unsharded), render(sharded))
         << "sharded wire responses diverge, seed=" << seed
-        << " num_shards=" << num_shards;
+        << " num_shards=" << split.num_shards;
   }
 
   // --- Community search composes with extraction. -----------------------
@@ -264,15 +264,10 @@ TEST_P(E2EUpdateFuzzTest, WireUpdateInterleavingMatchesRebuildOracle) {
     warm.cache_composition = true;
     warm.cache_admit_derived = true;
     warm.cache_compose_min_walk_us = 0;  // compose unconditionally
+    warm.num_shards = num_shards;
     warm.tracing = false;
-    std::unique_ptr<QueryBackend> backend;
-    if (num_shards == 1) {
-      backend = std::make_unique<QueryService>(initial, serve_net.dictionary(),
-                                               warm);
-    } else {
-      backend = std::make_unique<ShardedQueryService>(
-          initial, serve_net.dictionary(), num_shards, warm);
-    }
+    auto backend =
+        std::make_unique<QueryService>(initial, serve_net.dictionary(), warm);
     IndexUpdater updater(
         std::move(serve_net), std::move(initial),
         [&](TcTree tree, const std::vector<ItemId>& changed_roots,

@@ -23,7 +23,6 @@
 #include "net/database_network.h"
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 #include "tx/itemset.h"
 #include "util/rng.h"
@@ -406,16 +405,10 @@ void RunBackendDifferential(size_t num_shards, uint64_t seed) {
   DatabaseNetwork oracle_net = TinyBkLike(seed);
   TcTree initial = TcTree::Build(updater_net);
 
-  std::unique_ptr<QueryBackend> backend;
-  if (num_shards == 1) {
-    backend = std::make_unique<QueryService>(
-        TcTree::Build(updater_net), updater_net.dictionary(),
-        WarmCacheOptions());
-  } else {
-    backend = std::make_unique<ShardedQueryService>(
-        TcTree::Build(updater_net), updater_net.dictionary(), num_shards,
-        WarmCacheOptions());
-  }
+  QueryServiceOptions options = WarmCacheOptions();
+  options.num_shards = num_shards;
+  auto backend = std::make_unique<QueryService>(
+      TcTree::Build(updater_net), updater_net.dictionary(), options);
 
   IndexUpdater updater(
       std::move(updater_net), std::move(initial),
@@ -491,8 +484,9 @@ TEST(IncrementalUpdateServing, WarmCacheParityEightShards) {
 TEST(IncrementalUpdateServing, UntouchedShardsSkipTheSwap) {
   DatabaseNetwork net = TinyBkLike(24);
   TcTree initial = TcTree::Build(net);
-  ShardedQueryService backend(TcTree::Build(net), net.dictionary(),
-                              /*num_shards=*/8, WarmCacheOptions());
+  QueryServiceOptions options = WarmCacheOptions();
+  options.num_shards = 8;
+  QueryService backend(TcTree::Build(net), net.dictionary(), options);
   IndexUpdater updater(
       std::move(net), std::move(initial),
       [&](TcTree tree, const std::vector<ItemId>& roots,

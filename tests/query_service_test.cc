@@ -14,35 +14,18 @@
 #include "core/tc_tree.h"
 #include "core/tc_tree_query.h"
 #include "core/tcfi_format.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace tcf {
 namespace {
 
+using testing::ExpectSameAnswer;
 using testing::MakeFigureOneNetwork;
 using testing::MakeRandomNetwork;
 using testing::RandomNetOptions;
-
-/// Exact (not canonicalized) equality: the service must return byte-for-
-/// byte what a serial QueryTcTree produces, including traversal order.
-void ExpectIdentical(const TcTreeQueryResult& expected,
-                     const TcTreeQueryResult& actual,
-                     const std::string& context) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(expected.retrieved_nodes, actual.retrieved_nodes);
-  ASSERT_EQ(expected.trusses.size(), actual.trusses.size());
-  for (size_t i = 0; i < expected.trusses.size(); ++i) {
-    const PatternTruss& e = expected.trusses[i];
-    const PatternTruss& a = actual.trusses[i];
-    EXPECT_EQ(e.pattern, a.pattern);
-    EXPECT_EQ(e.edges, a.edges);
-    EXPECT_EQ(e.vertices, a.vertices);
-    EXPECT_EQ(e.frequencies, a.frequencies);  // bitwise: same code path
-    EXPECT_EQ(e.edge_cohesions, a.edge_cohesions);
-  }
-}
+using testing::TrussMatch;
+using testing::WalkCounters;
 
 /// A deterministic mixed workload over the network's items.
 std::vector<ServeQuery> MakeWorkload(const DatabaseNetwork& net, size_t n,
@@ -74,8 +57,9 @@ TEST(QueryServiceTest, BatchMatchesSerialQueryTcTree) {
     ASSERT_NE(results[i], nullptr);
     const TcTreeQueryResult expected =
         QueryTcTree(tree, workload[i].items, workload[i].alpha);
-    ExpectIdentical(expected, *results[i],
-                    "query " + workload[i].items.ToString());
+    ExpectSameAnswer(expected, *results[i],
+                     "query " + workload[i].items.ToString(),
+                     WalkCounters::kIgnore, TrussMatch::kIdentical);
   }
 }
 
@@ -95,8 +79,9 @@ TEST(QueryServiceTest, CacheHitReturnsIdenticalResult) {
   EXPECT_EQ(first.get(), third.get());
   EXPECT_EQ(service.cache_stats().hits, 2u);
 
-  ExpectIdentical(QueryTcTree(tree, query.items, query.alpha), *second,
-                  "cached");
+  ExpectSameAnswer(QueryTcTree(tree, query.items, query.alpha), *second,
+                   "cached",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 }
 
 TEST(QueryServiceTest, DisabledCacheStillAnswersCorrectly) {
@@ -109,7 +94,8 @@ TEST(QueryServiceTest, DisabledCacheStillAnswersCorrectly) {
   const auto second = service.Execute(query);
   EXPECT_NE(first.get(), second.get());
   EXPECT_EQ(service.cache_stats().hits, 0u);
-  ExpectIdentical(*first, *second, "recomputed");
+  ExpectSameAnswer(*first, *second, "recomputed",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 }
 
 TEST(QueryServiceTest, ConcurrentExecuteIsRaceFree) {
@@ -133,8 +119,9 @@ TEST(QueryServiceTest, ConcurrentExecuteIsRaceFree) {
         const size_t pick = rng.NextUint64(workload.size());
         const auto result = service.Execute(workload[pick]);
         ASSERT_NE(result, nullptr);
-        ExpectIdentical(expected[pick], *result,
-                        "thread " + std::to_string(t));
+        ExpectSameAnswer(expected[pick], *result,
+                         "thread " + std::to_string(t),
+                         WalkCounters::kIgnore, TrussMatch::kIdentical);
       }
     });
   }
@@ -160,8 +147,9 @@ TEST(QueryServiceTest, ConcurrentBatchesMatchSerial) {
   for (int t = 0; t < 4; ++t) {
     ASSERT_EQ(all[t].size(), workload.size());
     for (size_t i = 0; i < workload.size(); ++i) {
-      ExpectIdentical(QueryTcTree(tree, workload[i].items, workload[i].alpha),
-                      *all[t][i], "batch " + std::to_string(t));
+      ExpectSameAnswer(QueryTcTree(tree, workload[i].items, workload[i].alpha),
+                       *all[t][i], "batch " + std::to_string(t),
+                       WalkCounters::kIgnore, TrussMatch::kIdentical);
     }
   }
 }
@@ -175,16 +163,18 @@ TEST(QueryServiceTest, SwapSnapshotInvalidatesCache) {
   QueryService service(tree_a, net_a.dictionary(), {});
   const ServeQuery query{Itemset{0}, 0.0};
   const auto before = service.Execute(query);
-  ExpectIdentical(QueryTcTree(tree_a, query.items, query.alpha), *before,
-                  "pre-swap");
+  ExpectSameAnswer(QueryTcTree(tree_a, query.items, query.alpha), *before,
+                   "pre-swap",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 
   service.SwapSnapshot(tree_b);
   EXPECT_EQ(service.cache_stats().invalidations, 1u);
   EXPECT_EQ(service.cache_stats().entries, 0u);
 
   const auto after = service.Execute(query);
-  ExpectIdentical(QueryTcTree(tree_b, query.items, query.alpha), *after,
-                  "post-swap");
+  ExpectSameAnswer(QueryTcTree(tree_b, query.items, query.alpha), *after,
+                   "post-swap",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
   // The new answer is cached again.
   EXPECT_EQ(service.Execute(query).get(), after.get());
 }
@@ -198,11 +188,12 @@ TEST(QueryServiceTest, ShardReloadKeepsOtherShardsCacheEntries) {
   TcTree tree = TcTree::Build(net);
   QueryServiceOptions options;
   options.num_threads = 1;
+  options.num_shards = 2;
   options.tracing = false;
-  ShardedQueryService service(tree, net.dictionary(), 2, options);
+  QueryService service(tree, net.dictionary(), options);
 
-  // One active item per shard (single-item queries take the router's
-  // single-owner fast path, touching exactly one shard cache).
+  // One active item per shard (a single-item query goes straight to its
+  // owning shard, touching exactly one shard cache).
   ItemId item_a = 0, item_b = 0;
   bool have_a = false, have_b = false;
   for (ItemId item : net.ActiveItems()) {
@@ -227,7 +218,7 @@ TEST(QueryServiceTest, ShardReloadKeepsOtherShardsCacheEntries) {
   // Reload only shard B (same index content, fresh snapshot).
   HashShardPartitioner partitioner;
   std::vector<TcTree> parts = PartitionTcTree(tree, partitioner, 2);
-  service.SwapShardSnapshot(1, std::move(parts[1]));
+  service.SwapShardSnapshot(1, TcTreeSnapshot(std::move(parts[1])));
   EXPECT_EQ(service.cache_stats().invalidations, 1u);
 
   // Shard A's entry survived the foreign reload and still hits; shard
@@ -236,7 +227,8 @@ TEST(QueryServiceTest, ShardReloadKeepsOtherShardsCacheEntries) {
   EXPECT_EQ(service.Execute(query_a).get(), first_a.get());
   const auto after_b = service.Execute(query_b);
   EXPECT_NE(after_b.get(), first_b.get());
-  ExpectIdentical(*first_b, *after_b, "shard B answer after its reload");
+  ExpectSameAnswer(*first_b, *after_b, "shard B answer after its reload",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 
   // A full rolling swap rolls every shard: all caches invalidated.
   const auto before_roll = service.cache_stats();
@@ -245,7 +237,8 @@ TEST(QueryServiceTest, ShardReloadKeepsOtherShardsCacheEntries) {
   EXPECT_EQ(after_roll.invalidations, before_roll.invalidations + 2);
   EXPECT_EQ(after_roll.entries, 0u);
   EXPECT_NE(service.Execute(query_a).get(), first_a.get());
-  ExpectIdentical(*first_a, *service.Execute(query_a), "post-roll shard A");
+  ExpectSameAnswer(*first_a, *service.Execute(query_a), "post-roll shard A",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 }
 
 TEST(QueryServiceTest, ComposedAnswersMatchColdQueries) {
@@ -272,8 +265,9 @@ TEST(QueryServiceTest, ComposedAnswersMatchColdQueries) {
                            0.05 * static_cast<double>(rng.NextUint64(4))};
     const auto result = service.Execute(query);
     ASSERT_NE(result, nullptr);
-    ExpectIdentical(QueryTcTree(tree, query.items, query.alpha), *result,
-                    "composed " + query.items.ToString());
+    ExpectSameAnswer(QueryTcTree(tree, query.items, query.alpha), *result,
+                     "composed " + query.items.ToString(),
+                     WalkCounters::kIgnore, TrussMatch::kIdentical);
   }
   // The overlap guarantees the composition path actually ran.
   const ResultCacheStats stats = service.cache_stats();
@@ -297,7 +291,8 @@ TEST(QueryServiceTest, DerivedSubsetsServeFollowUpQueriesExactly) {
   EXPECT_GE(after_first.inserts, 2u);  // the query + admitted deriveds
 
   const auto sub = service.Execute({Itemset{0, 1}, 0.0});
-  ExpectIdentical(QueryTcTree(tree, Itemset{0, 1}, 0.0), *sub, "derived");
+  ExpectSameAnswer(QueryTcTree(tree, Itemset{0, 1}, 0.0), *sub, "derived",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
   EXPECT_EQ(service.cache_stats().hits, after_first.hits + 1);
 }
 
@@ -312,8 +307,9 @@ TEST(QueryServiceTest, WorkAwareGateKeepsPartialReuseOffForCheapWalks) {
 
   service.Execute({Itemset{0, 1}, 0.0});
   const auto result = service.Execute({Itemset{0, 1, 2}, 0.0});
-  ExpectIdentical(QueryTcTree(tree, Itemset{0, 1, 2}, 0.0), *result,
-                  "gated");
+  ExpectSameAnswer(QueryTcTree(tree, Itemset{0, 1, 2}, 0.0), *result,
+                   "gated",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
   const ResultCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.composed_queries, 0u);
   EXPECT_EQ(stats.partial_hits, 0u);
@@ -347,9 +343,10 @@ TEST(QueryServiceTest, ShapedQueriesNeverCompose) {
 
   service.Execute({Itemset{0, 1}, 0.0});
   const auto result = service.Execute({Itemset{0, 1, 2}, 0.0});
-  ExpectIdentical(
-      QueryTcTree(tree, Itemset{0, 1, 2}, 0.0, options.query_options),
-      *result, "shaped");
+  ExpectSameAnswer(
+       QueryTcTree(tree, Itemset{0, 1, 2}, 0.0, options.query_options),
+       *result, "shaped",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
   const ResultCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.composed_queries, 0u);
 }
@@ -377,8 +374,9 @@ TEST(QueryServiceTest, SwapSnapshotDropsComposedAndDerivedEntries) {
   // fresh entries and matches tree_b's cold answers exactly.
   service.Execute({Itemset{0, 1}, 0.0});
   const auto after = service.Execute({Itemset{0, 1, 2}, 0.0});
-  ExpectIdentical(QueryTcTree(tree_b, Itemset{0, 1, 2}, 0.0), *after,
-                  "post-swap composed");
+  ExpectSameAnswer(QueryTcTree(tree_b, Itemset{0, 1, 2}, 0.0), *after,
+                   "post-swap composed",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
 }
 
 TEST(QueryServiceTest, OpenLoadsPersistedIndex) {
@@ -389,9 +387,13 @@ TEST(QueryServiceTest, OpenLoadsPersistedIndex) {
 
   auto service = QueryService::Open(path, net.dictionary(), {});
   ASSERT_TRUE(service.ok());
+  // One shard serves the mapped file as is: no partition, no copy.
+  EXPECT_EQ((*service)->num_shards(), 1u);
+  EXPECT_TRUE((*service)->snapshot()->mapped());
   const ServeQuery query{Itemset{0}, 0.1};
-  ExpectIdentical(QueryTcTree(tree, query.items, query.alpha),
-                  *(*service)->Execute(query), "loaded index");
+  ExpectSameAnswer(QueryTcTree(tree, query.items, query.alpha),
+                   *(*service)->Execute(query), "loaded index",
+                   WalkCounters::kIgnore, TrussMatch::kIdentical);
   std::remove(path.c_str());
 
   EXPECT_FALSE(QueryService::Open(path + ".missing", net.dictionary(), {})

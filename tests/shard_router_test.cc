@@ -1,10 +1,11 @@
-// Property tests for the sharded serving path (core/partition.h +
-// serve/shard_router.h): for random BK-like / SYN networks, random
-// queries, and N ∈ {1, 2, 3, 8}, the scatter-gather answer must equal
-// the single-shard answer *field for field in identical BFS retrieval
-// order* — the same oracle style as tc_tree_parallel_test.cc — under
-// build caps (`max_nodes`, `max_depth`), result-shaping query knobs,
-// and warm caches. Plus the structural guarantees the router leans on:
+// Property tests for the sharded serving path (core/partition.h + the
+// shards of serve/query_service.h): for random BK-like / SYN networks,
+// random queries, and N ∈ {1, 2, 3, 8}, a QueryService's answer must
+// equal a serial QueryTcTree over the whole tree *field for field in
+// identical BFS retrieval order* — the same oracle style as
+// tc_tree_parallel_test.cc — under build caps (`max_nodes`,
+// `max_depth`), result-shaping query knobs, and warm caches. Plus the
+// structural guarantees the scatter-gather merge leans on:
 // PartitionTcTree is an exact partition of the arena by layer-1 item
 // ownership, and BuildShardTree over a PartitionTransactions network
 // reproduces the partitioned full build field for field.
@@ -21,14 +22,16 @@
 #include "gen/checkin_generator.h"
 #include "gen/syn_generator.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace tcf {
 namespace {
 
+using testing::ExpectSameAnswer;
 using testing::ExpectSameTree;
+using testing::TrussMatch;
+using testing::WalkCounters;
 
 constexpr size_t kShardCounts[] = {1, 2, 3, 8};
 
@@ -51,31 +54,6 @@ DatabaseNetwork SmallSyn(uint64_t seed) {
   return GenerateSynNetwork(p);
 }
 
-/// Field-for-field equality, traversal order included. `exact_counters`
-/// is dropped only under `max_results`, where each shard legitimately
-/// walks until its own budget's worth of answers (visited/pruned may
-/// exceed the single-tree walk; trusses and retrieved_nodes stay exact).
-void ExpectIdentical(const TcTreeQueryResult& expected,
-                     const TcTreeQueryResult& actual,
-                     const std::string& context, bool exact_counters = true) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(expected.retrieved_nodes, actual.retrieved_nodes);
-  if (exact_counters) {
-    EXPECT_EQ(expected.visited_nodes, actual.visited_nodes);
-    EXPECT_EQ(expected.pruned_subtrees, actual.pruned_subtrees);
-  }
-  ASSERT_EQ(expected.trusses.size(), actual.trusses.size());
-  for (size_t i = 0; i < expected.trusses.size(); ++i) {
-    const PatternTruss& e = expected.trusses[i];
-    const PatternTruss& a = actual.trusses[i];
-    EXPECT_EQ(e.pattern, a.pattern) << "truss " << i;
-    EXPECT_EQ(e.edges, a.edges) << "truss " << i;
-    EXPECT_EQ(e.vertices, a.vertices) << "truss " << i;
-    EXPECT_EQ(e.frequencies, a.frequencies) << "truss " << i;  // bitwise
-    EXPECT_EQ(e.edge_cohesions, a.edge_cohesions) << "truss " << i;
-  }
-}
-
 /// A random query over the network's live items: 1-5 items (dups fold
 /// away in the Itemset), alpha from a grid that straddles typical
 /// generator cohesions so some queries retrieve plenty and some prune
@@ -91,43 +69,51 @@ ServeQuery RandomQuery(const std::vector<ItemId>& items, Rng& rng) {
                     kAlphas[rng.NextUint64(std::size(kAlphas))]};
 }
 
-/// Caching off, single worker, no tracing: answers come straight off the
-/// tree walk so every counter is comparable.
-QueryServiceOptions BareOptions() {
+/// Caching off, single worker, no tracing, `num_shards` shards: answers
+/// come straight off the tree walks so every counter is comparable.
+QueryServiceOptions BareOptions(size_t num_shards = 1) {
   QueryServiceOptions o;
   o.num_threads = 1;
+  o.num_shards = num_shards;
   o.cache_bytes = 0;
   o.tracing = false;
   return o;
 }
 
-/// Runs `trials` random queries through a plain QueryService and a
-/// ShardedQueryService built from *the same deterministic build* and
-/// asserts field-for-field parity for every shard count.
+/// Runs `trials` random queries through a serial QueryTcTree over the
+/// whole tree and a QueryService over *the same deterministic build*
+/// split N ways, and asserts byte-identical answers for every N. Walk
+/// counters are dropped only under `max_results`, where each shard
+/// legitimately walks until its own budget's worth of answers
+/// (visited/pruned may exceed the single-tree walk; trusses and
+/// retrieved_nodes stay exact).
 void ExpectShardParity(const DatabaseNetwork& net, const TcTreeOptions& build,
                        const QueryServiceOptions& service_options, int trials,
-                       uint64_t seed, bool exact_counters = true) {
-  QueryService oracle(TcTree::Build(net, build), net.dictionary(),
-                      service_options);
+                       uint64_t seed,
+                       WalkCounters counters = WalkCounters::kCompare) {
+  const TcTree tree = TcTree::Build(net, build);
   const std::vector<ItemId> items = net.ActiveItems();
   ASSERT_FALSE(items.empty());
   for (size_t num_shards : kShardCounts) {
     SCOPED_TRACE("num_shards " + std::to_string(num_shards));
-    ShardedQueryService sharded(TcTree::Build(net, build), net.dictionary(),
-                                num_shards, service_options);
+    QueryServiceOptions options = service_options;
+    options.num_shards = num_shards;
+    QueryService sharded(TcTree::Build(net, build), net.dictionary(),
+                         options);
     ASSERT_EQ(sharded.num_shards(), num_shards);
     Rng rng(seed);  // same query stream against every shard count
     for (int t = 0; t < trials; ++t) {
       const ServeQuery q = RandomQuery(items, rng);
       QueryTrace trace;
-      const auto expected = oracle.Execute(q);
+      const TcTreeQueryResult expected =
+          QueryTcTree(tree, q.items, q.alpha, options.query_options);
       const auto actual = sharded.Execute(q, &trace);
       ASSERT_NE(actual, nullptr);
-      ExpectIdentical(*expected, *actual,
-                      "trial " + std::to_string(t) + " query " +
-                          q.items.ToString() + " alpha " +
-                          std::to_string(q.alpha),
-                      exact_counters);
+      ExpectSameAnswer(expected, *actual,
+                       "trial " + std::to_string(t) + " query " +
+                           q.items.ToString() + " alpha " +
+                           std::to_string(q.alpha),
+                       counters, TrussMatch::kIdentical);
       // The scatter probed only shards that can own part of the answer.
       EXPECT_GE(trace.shards_probed, 1u);
       EXPECT_LE(trace.shards_probed, std::min(num_shards, q.items.size()));
@@ -157,7 +143,7 @@ TEST(ShardRouterTest, ParityUnderDepthCaps) {
 
 TEST(ShardRouterTest, ParityUnderNodeBudgets) {
   // The global commit-order budget is the knob no independent per-shard
-  // build could replicate; ShardedQueryService splits the one capped
+  // build could replicate; a sharded QueryService splits the one capped
   // build, so parity must hold at any truncation point.
   DatabaseNetwork net = SmallBkLike(7);
   const size_t full_nodes = TcTree::Build(net).num_nodes();
@@ -185,7 +171,7 @@ TEST(ShardRouterTest, ParityUnderMaxResults) {
     QueryServiceOptions options = BareOptions();
     options.query_options.max_results = max_results;
     ExpectShardParity(SmallBkLike(7), {}, options, 25, max_results,
-                      /*exact_counters=*/false);
+                      WalkCounters::kIgnore);
   }
 }
 
@@ -198,51 +184,49 @@ TEST(ShardRouterTest, ParityWithWarmCachesAndComposition) {
   options.num_threads = 1;
   options.tracing = false;
   options.cache_compose_min_walk_us = 0;
-  QueryService oracle(TcTree::Build(net), net.dictionary(), BareOptions());
+  const TcTree tree = TcTree::Build(net);
   const std::vector<ItemId> items = net.ActiveItems();
   for (size_t num_shards : kShardCounts) {
     SCOPED_TRACE("num_shards " + std::to_string(num_shards));
-    ShardedQueryService sharded(TcTree::Build(net), net.dictionary(),
-                                num_shards, options);
+    options.num_shards = num_shards;
+    QueryService sharded(TcTree::Build(net), net.dictionary(), options);
     Rng rng(99);
     std::vector<ServeQuery> queries;
     for (int t = 0; t < 30; ++t) queries.push_back(RandomQuery(items, rng));
     for (int round = 0; round < 2; ++round) {
       for (size_t t = 0; t < queries.size(); ++t) {
-        const auto expected = oracle.Execute(queries[t]);
-        const auto actual = sharded.Execute(queries[t]);
-        ExpectIdentical(*expected, *actual,
-                        "round " + std::to_string(round) + " trial " +
-                            std::to_string(t),
-                        /*exact_counters=*/false);
+        const ServeQuery& q = queries[t];
+        ExpectSameAnswer(QueryTcTree(tree, q.items, q.alpha),
+                         *sharded.Execute(q),
+                         "round " + std::to_string(round) + " trial " +
+                             std::to_string(t),
+                         WalkCounters::kIgnore, TrussMatch::kIdentical);
       }
     }
-    if (num_shards > 1) {
-      const ResultCacheStats cache = sharded.cache_stats();
-      EXPECT_GT(cache.hits, 0u) << "second round never hit the shard caches";
-    }
+    const ResultCacheStats cache = sharded.cache_stats();
+    EXPECT_GT(cache.hits, 0u) << "second round never hit the shard caches";
   }
 }
 
 TEST(ShardRouterTest, BatchParityAcrossShardCounts) {
   DatabaseNetwork net = SmallBkLike(7);
-  QueryServiceOptions options = BareOptions();
-  options.num_threads = 4;  // real fan-out over the router pool
-  QueryService oracle(TcTree::Build(net), net.dictionary(), BareOptions());
+  const TcTree tree = TcTree::Build(net);
   const std::vector<ItemId> items = net.ActiveItems();
   Rng rng(3);
   std::vector<ServeQuery> batch;
   for (int t = 0; t < 64; ++t) batch.push_back(RandomQuery(items, rng));
   for (size_t num_shards : kShardCounts) {
     SCOPED_TRACE("num_shards " + std::to_string(num_shards));
-    ShardedQueryService sharded(TcTree::Build(net), net.dictionary(),
-                                num_shards, options);
+    QueryServiceOptions options = BareOptions(num_shards);
+    options.num_threads = 4;  // real fan-out over the service pool
+    QueryService sharded(TcTree::Build(net), net.dictionary(), options);
     const auto results = sharded.ExecuteBatch(batch);
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       ASSERT_NE(results[i], nullptr);
-      ExpectIdentical(*oracle.Execute(batch[i]), *results[i],
-                      "batch slot " + std::to_string(i));
+      ExpectSameAnswer(QueryTcTree(tree, batch[i].items, batch[i].alpha),
+                       *results[i], "batch slot " + std::to_string(i),
+                       WalkCounters::kCompare, TrussMatch::kIdentical);
     }
   }
 }
@@ -314,21 +298,23 @@ TEST(ShardRouterTest, RollingSwapKeepsParityMidRoll) {
   // per-shard answer sets are disjoint.
   DatabaseNetwork net = SmallBkLike(7);
   const size_t num_shards = 3;
-  QueryService oracle(TcTree::Build(net), net.dictionary(), BareOptions());
-  ShardedQueryService sharded(TcTree::Build(net), net.dictionary(), num_shards,
-                              BareOptions());
+  const TcTree tree = TcTree::Build(net);
+  QueryService sharded(TcTree::Build(net), net.dictionary(),
+                       BareOptions(num_shards));
   const std::vector<ItemId> items = net.ActiveItems();
   HashShardPartitioner partitioner;
   for (size_t s = 0; s < num_shards; ++s) {
     std::vector<TcTree> parts =
         PartitionTcTree(TcTree::Build(net), partitioner, num_shards);
-    sharded.SwapShardSnapshot(s, std::move(parts[s]));
+    sharded.SwapShardSnapshot(s, TcTreeSnapshot(std::move(parts[s])));
     Rng rng(7 * (s + 1));
     for (int t = 0; t < 15; ++t) {
       const ServeQuery q = RandomQuery(items, rng);
-      ExpectIdentical(*oracle.Execute(q), *sharded.Execute(q),
-                      "after swapping shard " + std::to_string(s) +
-                          " trial " + std::to_string(t));
+      ExpectSameAnswer(QueryTcTree(tree, q.items, q.alpha),
+                       *sharded.Execute(q),
+                       "after swapping shard " + std::to_string(s) +
+                           " trial " + std::to_string(t),
+                       WalkCounters::kCompare, TrussMatch::kIdentical);
     }
   }
   EXPECT_GT(sharded.Report().shard_reload_ms, 0.0);

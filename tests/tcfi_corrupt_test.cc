@@ -85,6 +85,32 @@ TEST_F(TcfiCorruptTest, BadMagic) {
   EXPECT_TRUE(ProbeTcfiFile(path_).IsCorruption());
 }
 
+TEST_F(TcfiCorruptTest, ShortForeignFileGetsTheRebuildHint) {
+  // A file of another format shorter than the TCFI header (an old index
+  // of a near-empty tree, say) is named by its magic, not its size.
+  const std::string foreign = std::string("TCFT") + std::string(12, '\0');
+  ASSERT_LT(foreign.size(), sizeof(TcfiHeader));
+  const Status mapped = MapMutated(foreign);
+  EXPECT_TRUE(mapped.IsCorruption()) << mapped;
+  EXPECT_NE(mapped.message().find("tcf index"), std::string::npos) << mapped;
+  const Status probed = ProbeTcfiFile(path_);
+  EXPECT_TRUE(probed.IsCorruption()) << probed;
+  EXPECT_NE(probed.message().find("tcf index"), std::string::npos) << probed;
+
+  // A short file that starts like TCFI is a torn index, not a foreign
+  // one; so is one too short to carry the magic at all.
+  for (const size_t cut : {size_t{3}, size_t{16}}) {
+    const Status torn = MapMutated(good_.substr(0, cut));
+    EXPECT_NE(torn.message().find("shorter than its header"),
+              std::string::npos)
+        << "cut=" << cut << " -> " << torn;
+    const Status torn_probe = ProbeTcfiFile(path_);
+    EXPECT_NE(torn_probe.message().find("shorter than its header"),
+              std::string::npos)
+        << "cut=" << cut << " -> " << torn_probe;
+  }
+}
+
 TEST_F(TcfiCorruptTest, ForeignEndiannessIsDistinct) {
   std::string bytes = good_;
   TcfiHeader h = header_;

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -18,7 +19,6 @@
 #include "core/tcfi_format.h"
 #include "serve/file_watcher.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 
 namespace tcf {
@@ -116,7 +116,7 @@ TEST(TcfiServeTest, ReloadFromFileInstallsMappedSnapshot) {
   ASSERT_TRUE(service.snapshot()->mapped());
 }
 
-TEST(TcfiServeTest, OpenSlicesMatchesUnshardedService) {
+TEST(TcfiServeTest, OpenMapsSliceFilesAndMatchesUnshardedService) {
   const size_t kShards = 3;
   DatabaseNetwork net = BuildNet(63);
   TcTree tree = TcTree::Build(net);
@@ -124,19 +124,31 @@ TEST(TcfiServeTest, OpenSlicesMatchesUnshardedService) {
   ASSERT_TRUE(SaveTcfiShardSlices(TcTree(tree), base, kShards).ok());
 
   QueryService unsharded(TcTree(tree), net.dictionary(), {});
-  auto sharded =
-      ShardedQueryService::OpenSlices(base, net.dictionary(), kShards, {});
+  auto sharded = QueryService::Open(base, net.dictionary(),
+                                    {.num_shards = kShards});
   ASSERT_TRUE(sharded.ok()) << sharded.status();
   EXPECT_EQ((*sharded)->num_shards(), kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_TRUE((*sharded)->snapshot(s)->mapped()) << "shard " << s;
+  }
 
   for (const ServeQuery& q : GridQueries()) {
     ExpectSameAnswer(*unsharded.Execute(q), *(*sharded)->Execute(q),
                      "alpha=" + std::to_string(q.alpha));
   }
 
-  // A shard-count mismatch is rejected, not mis-routed.
+  // A shard-count mismatch is rejected, not mis-routed: there are no
+  // 2-slice files and no whole file at `base`.
   EXPECT_FALSE(
-      ShardedQueryService::OpenSlices(base, net.dictionary(), 2, {}).ok());
+      QueryService::Open(base, net.dictionary(), {.num_shards = 2}).ok());
+  // A slice whose metadata names another shard fails the whole open.
+  std::filesystem::copy_file(
+      TcfiSlicePath(base, 2, kShards), TcfiSlicePath(base, 1, kShards),
+      std::filesystem::copy_options::overwrite_existing);
+  const Status mixed =
+      QueryService::Open(base, net.dictionary(), {.num_shards = kShards})
+          .status();
+  EXPECT_TRUE(mixed.IsCorruption()) << mixed;
 }
 
 TEST(TcfiServeTest, ShardedReloadPrefersSliceFiles) {
@@ -145,7 +157,8 @@ TEST(TcfiServeTest, ShardedReloadPrefersSliceFiles) {
   TcTree full = TcTree::Build(net);
   TcTree shallow = TcTree::Build(net, {.max_depth = 1});
 
-  ShardedQueryService service(TcTree(full), net.dictionary(), kShards, {});
+  QueryService service(TcTree(full), net.dictionary(),
+                       {.num_shards = kShards});
 
   // All N slice files present: rolling zero-copy per-shard swap.
   const std::string base = TempPath("tcfi_serve_roll.tcfi");

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,7 +31,6 @@
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/line_protocol.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -456,7 +456,7 @@ TEST(TcpServerTest, ShardedRollingReloadUnderMultiClientTraffic) {
       QueryTcTree(tree_b, parsed->items, parsed->alpha);
 
   constexpr size_t kShards = 3;
-  ShardedQueryService service(tree_a, net_a.dictionary(), kShards, {});
+  QueryService service(tree_a, net_a.dictionary(), {.num_shards = kShards});
   const ItemDictionary& dict = service.dictionary();
 
   // Per-shard slices of the old and new full answers: a shard's answer
@@ -1397,11 +1397,16 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return ss.str();
 }
 
-/// `name type` per METRICS family, sorted, one per line.
+/// `name type` per METRICS family, sorted, one per line. The per-shard
+/// families (`tcf_shard<N>_...`) are left out: their number is the
+/// shard count's, and the golden file holds for every shard count.
 std::string MetricFamilies(const std::string& exposition) {
+  static const std::regex kPerShard("tcf_shard[0-9]+_.*");
   std::vector<std::string> families;
   for (const std::string& line : Split(exposition, '\n')) {
-    if (StartsWith(line, "# TYPE ")) families.push_back(line.substr(7));
+    if (!StartsWith(line, "# TYPE ")) continue;
+    const std::string family = line.substr(7);
+    if (!std::regex_match(family, kPerShard)) families.push_back(family);
   }
   std::sort(families.begin(), families.end());
   return Join(families, "\n") + "\n";
@@ -1419,7 +1424,8 @@ void ExpectMatchesGolden(const std::string& name, const std::string& text) {
       << "docs/serve-protocol.md.";
 }
 
-TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
+void ExpectGoldenMetricsAndStatsKeys(size_t num_shards) {
+  SCOPED_TRACE("num_shards " + std::to_string(num_shards));
   DatabaseNetwork net = MakeRandomNetwork({.num_vertices = 24,
                                            .edge_prob = 0.4,
                                            .num_items = 8,
@@ -1429,7 +1435,7 @@ TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
   const std::string index_path = StrFormat(
       "/tmp/tcf_golden_reload_%d.idx", static_cast<int>(::getpid()));
   ASSERT_TRUE(SaveTcTreeBinary(tree, index_path).ok());
-  QueryService service(tree, net.dictionary(), {});
+  QueryService service(tree, net.dictionary(), {.num_shards = num_shards});
   IndexUpdater updater(
       std::move(net), std::move(tree),
       [&service](TcTree t, const std::vector<ItemId>& changed_roots,
@@ -1487,6 +1493,14 @@ TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
   EXPECT_TRUE(client->Quit().ok());
   server.Shutdown();
   std::remove(index_path.c_str());
+}
+
+// One golden file for every shard count: a sharded server exports the
+// same families an unsharded one does.
+TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
+  for (size_t num_shards : {size_t{1}, size_t{2}}) {
+    ExpectGoldenMetricsAndStatsKeys(num_shards);
+  }
 }
 
 }  // namespace

@@ -88,14 +88,31 @@ inline std::vector<Edge> EdgeList(
   return out;
 }
 
-/// Structural equality of two trusses: same pattern, edges, vertices and
-/// frequencies. Edge cohesions are compared only if both carry them.
+/// How strictly two trusses must agree.
+enum class TrussMatch {
+  /// Frequencies within 4 ulps; edge cohesions only when both carry
+  /// them.
+  kStructural,
+  /// Bitwise frequencies and edge cohesions always: for answers that
+  /// come off the same code path as the expected one (a cache, a shard
+  /// merge).
+  kIdentical,
+};
+
+/// Equality of two trusses: same pattern, edges, vertices and
+/// frequencies, as strict as `match` says.
 inline void ExpectSameTruss(const PatternTruss& a, const PatternTruss& b,
-                            const std::string& context = "") {
+                            const std::string& context = "",
+                            TrussMatch match = TrussMatch::kStructural) {
   SCOPED_TRACE(context);
   EXPECT_EQ(a.pattern, b.pattern);
   EXPECT_EQ(a.edges, b.edges);
   EXPECT_EQ(a.vertices, b.vertices);
+  if (match == TrussMatch::kIdentical) {
+    EXPECT_EQ(a.frequencies, b.frequencies);
+    EXPECT_EQ(a.edge_cohesions, b.edge_cohesions);
+    return;
+  }
   ASSERT_EQ(a.frequencies.size(), b.frequencies.size());
   for (size_t i = 0; i < a.frequencies.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.frequencies[i], b.frequencies[i]) << "vertex index " << i;
@@ -109,23 +126,27 @@ inline void ExpectSameTruss(const PatternTruss& a, const PatternTruss& b,
 enum class WalkCounters { kIgnore, kCompare };
 
 /// Equality of two query answers: the same trusses in the same order
-/// (ExpectSameTruss each), and with `counters == kCompare` the same
-/// retrieved/visited/pruned counts. Failures point at the caller's line.
+/// (ExpectSameTruss each, as strict as `match`), and with `counters ==
+/// kCompare` the same retrieved/visited/pruned counts. kIdentical also
+/// compares retrieved_nodes. Failures point at the caller's line.
 inline void ExpectSameAnswer(
     const TcTreeQueryResult& expected, const TcTreeQueryResult& actual,
     const std::string& context, WalkCounters counters = WalkCounters::kIgnore,
+    TrussMatch match = TrussMatch::kStructural,
     std::source_location where = std::source_location::current()) {
   ::testing::ScopedTrace trace(where.file_name(),
                                static_cast<int>(where.line()), context);
-  if (counters == WalkCounters::kCompare) {
+  if (counters == WalkCounters::kCompare || match == TrussMatch::kIdentical) {
     EXPECT_EQ(expected.retrieved_nodes, actual.retrieved_nodes);
+  }
+  if (counters == WalkCounters::kCompare) {
     EXPECT_EQ(expected.visited_nodes, actual.visited_nodes);
     EXPECT_EQ(expected.pruned_subtrees, actual.pruned_subtrees);
   }
   ASSERT_EQ(expected.trusses.size(), actual.trusses.size());
   for (size_t i = 0; i < expected.trusses.size(); ++i) {
     ExpectSameTruss(expected.trusses[i], actual.trusses[i],
-                    "truss " + std::to_string(i));
+                    "truss " + std::to_string(i), match);
   }
 }
 

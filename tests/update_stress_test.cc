@@ -22,7 +22,6 @@
 #include "net/database_network.h"
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "test_util.h"
 #include "tx/itemset.h"
 #include "util/rng.h"
@@ -105,16 +104,10 @@ void RunStress(size_t num_shards, uint64_t seed, size_t batches) {
   DatabaseNetwork oracle_net = StressNet(seed);
   TcTree initial = TcTree::Build(updater_net);
 
-  std::unique_ptr<QueryBackend> backend;
-  if (num_shards == 1) {
-    backend = std::make_unique<QueryService>(TcTree::Build(updater_net),
-                                             updater_net.dictionary(),
-                                             WarmCacheOptions());
-  } else {
-    backend = std::make_unique<ShardedQueryService>(
-        TcTree::Build(updater_net), updater_net.dictionary(), num_shards,
-        WarmCacheOptions());
-  }
+  QueryServiceOptions options = WarmCacheOptions();
+  options.num_shards = num_shards;
+  auto backend = std::make_unique<QueryService>(
+      TcTree::Build(updater_net), updater_net.dictionary(), options);
 
   IndexUpdater updater(
       std::move(updater_net), std::move(initial),

@@ -31,7 +31,9 @@
 # 6. Repeat the network path against `tcf serve --shards=2`: the sharded
 #    backend must answer the same traffic, STATS must expose the shard
 #    counters (shards / shard_queries / shard_reload_ms), EXPLAIN must
-#    report shards_probed, and RELOAD must roll shard by shard.
+#    report shards_probed, RELOAD must roll shard by shard, and METRICS
+#    must carry the unsharded server's families (per-shard
+#    tcf_shard<N>_ names aside).
 # 7. TCFI zero-copy snapshot smoke: `tcf index --slices=2`, query
 #    parity of the mapped file vs. an in-process build, `--format=tcft`
 #    refused, clean rejection of torn and bit-flipped files,
@@ -191,6 +193,14 @@ if [ "${Q2%.*}" -le "${Q1%.*}" ]; then
   echo "FAIL: tcf_queries_total did not advance ($Q1 -> $Q2)"; exit 1
 fi
 echo "OK: METRICS scrape parses and tcf_queries_total advanced ($Q1 -> $Q2)"
+# The family set (name and TYPE) the sharded smoke below must match;
+# per-shard families (tcf_shard<N>_...) scale with the shard count.
+metric_families() {
+  "$TCF" client --port="$1" --metrics | awk '
+    $1 == "#" && $2 == "TYPE" && $3 !~ /^tcf_shard[0-9]+_/ { print $3, $4 }
+  ' | sort
+}
+metric_families "$PORT" > "$TMP/families_unsharded.txt"
 
 # EXPLAIN executes the query and answers with its trace: all five
 # stage keys, wall and CPU, plus total_us must be present.
@@ -421,6 +431,15 @@ if [ "${Q2%.*}" -le "${Q1%.*}" ]; then
   echo "FAIL: sharded tcf_queries_total did not advance ($Q1 -> $Q2)"
   exit 1
 fi
+# One backend at every shard count: the same METRICS families as the
+# unsharded server.
+metric_families "$PORT" > "$TMP/families_sharded.txt"
+diff "$TMP/families_unsharded.txt" "$TMP/families_sharded.txt" || {
+  echo "FAIL: --shards=2 METRICS families differ from the unsharded ones"
+  exit 1
+}
+echo "OK: --shards=2 exports the unsharded METRICS families" \
+     "($(wc -l < "$TMP/families_sharded.txt") of them)"
 
 kill -TERM "$SERVER_PID" || { echo "FAIL: sharded server died early";
                               cat "$TMP/server2.log"; exit 1; }

@@ -117,7 +117,6 @@
 #include "serve/line_protocol.h"
 #include "serve/query_backend.h"
 #include "serve/query_service.h"
-#include "serve/shard_router.h"
 #include "serve/tcp_server.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -446,17 +445,6 @@ std::optional<TcTreeSnapshot> LoadOrBuildSnapshot(const Args& args,
   return TcTreeSnapshot(std::move(tree));
 }
 
-/// LoadOrBuildSnapshot for callers that must *own* the tree (the shard
-/// partitioner and the streaming updater's baseline): a mapped TCFI
-/// snapshot is materialized onto the heap.
-std::optional<TcTree> LoadOrBuildTree(const Args& args,
-                                      const DatabaseNetwork& net,
-                                      const char* cmd) {
-  std::optional<TcTreeSnapshot> snap = LoadOrBuildSnapshot(args, net, cmd);
-  if (!snap) return std::nullopt;
-  return std::move(*snap).TakeTree();
-}
-
 int CmdQuery(const Args& args) {
   auto net = LoadArg(args);
   if (!net.ok()) {
@@ -517,44 +505,42 @@ void ApplyTracingArgs(const Args& args, QueryServiceOptions* options) {
       std::max<uint64_t>(1, args.GetUint("trace-sample", 1));
 }
 
-/// Builds the serving backend both serve modes share, loading or
-/// building the index itself: a single-tree QueryService (serving a
-/// mapped TCFI snapshot zero-copy when --index points at one) or, with
-/// --shards=N (N >= 2), the scatter-gather ShardedQueryService over N
-/// item-space shards (rolling RELOAD, per-shard caches; see
-/// docs/architecture.md). Sharded serving prefers the N per-shard TCFI
-/// slice files `TcfiSlicePath(--index, s, N)` (written by `tcf index
-/// --slices=N`) — each shard maps its own slice, no
-/// partitioning work. When `baseline` is non-null (the streaming
-/// updater needs an owned whole-tree copy of what is being served) it
-/// is filled and the slice path is skipped — slices cannot reconstruct
-/// the whole tree. Returns null after printing the error.
+/// Builds the serving backend both serve modes share, over
+/// `options.num_shards` (`--shards`) item-space shards (rolling RELOAD,
+/// per-shard caches; see docs/architecture.md). With --index and no
+/// `baseline` wanted, QueryService::Open maps it: the N per-shard TCFI
+/// slice files `TcfiSlicePath(--index, s, N)` written by `tcf index
+/// --slices=N` when they all exist, else the whole file (served as is
+/// when N = 1). When `baseline` is non-null (the streaming updater
+/// needs an owned whole-tree copy of what is being served) it is
+/// filled and the slice path is skipped, since slices cannot
+/// reconstruct the whole tree. Returns null after printing the error.
 std::unique_ptr<QueryBackend> MakeServeBackend(
     const Args& args, const DatabaseNetwork& net,
     const QueryServiceOptions& options, std::optional<TcTree>* baseline) {
-  const size_t shards = args.GetUint("shards", 1);
-  if (shards >= 2) {
-    const std::string index_path = args.Get("index", "");
-    if (baseline == nullptr && !index_path.empty() &&
-        TcfiSlicesExist(index_path, shards)) {
-      WallTimer t;
-      auto sharded = ShardedQueryService::OpenSlices(
-          index_path, net.dictionary(), shards, options);
-      if (!sharded.ok()) {
-        std::fprintf(stderr, "serve: %s\n",
-                     sharded.status().ToString().c_str());
-        return nullptr;
-      }
-      std::printf(
-          "TC-Tree: %zu shard slices of %s mapped zero-copy in %.3f s\n",
-          shards, index_path.c_str(), t.Seconds());
-      return std::move(*sharded);
+  const std::string index_path = args.Get("index", "");
+  if (baseline == nullptr && !index_path.empty()) {
+    WallTimer t;
+    auto opened = QueryService::Open(index_path, net.dictionary(), options);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "serve: %s\n", opened.status().ToString().c_str());
+      return nullptr;
     }
-    std::optional<TcTree> tree = LoadOrBuildTree(args, net, "serve");
-    if (!tree) return nullptr;
-    if (baseline != nullptr) *baseline = *tree;
-    return std::make_unique<ShardedQueryService>(
-        std::move(*tree), net.dictionary(), shards, options);
+    const QueryService& service = **opened;
+    const size_t n = service.num_shards();
+    if (n == 1) {
+      std::printf("TC-Tree: %zu nodes mapped zero-copy from %s in %.3f s\n",
+                  service.snapshot()->num_nodes(), index_path.c_str(),
+                  t.Seconds());
+    } else if (service.snapshot()->mapped()) {
+      std::printf(
+          "TC-Tree: %zu shard slices of %s mapped zero-copy in %.3f s\n", n,
+          index_path.c_str(), t.Seconds());
+    } else {
+      std::printf("TC-Tree: %s mapped and split into %zu shards in %.3f s\n",
+                  index_path.c_str(), n, t.Seconds());
+    }
+    return std::move(*opened);
   }
   std::optional<TcTreeSnapshot> snap = LoadOrBuildSnapshot(args, net, "serve");
   if (!snap) return nullptr;
@@ -614,7 +600,8 @@ int ServeListen(const Args& args, DatabaseNetwork net,
   service_options.cache_compose_min_walk_us =
       args.GetDouble("compose-min-us", 100.0);
   ApplyTracingArgs(args, &service_options);
-  const size_t shards = args.GetUint("shards", 1);
+  const size_t shards = std::max<uint64_t>(1, args.GetUint("shards", 1));
+  service_options.num_shards = shards;
   // Streaming updates need an owned copy of the served tree as the
   // updater's baseline; the backend factory fills it while it still
   // has the tree in hand.
@@ -687,7 +674,7 @@ int ServeListen(const Args& args, DatabaseNetwork net,
   std::printf("serve: listening on %s:%u (epoll loop, %zu workers, "
               "%zu MiB cache, %zu shard%s, reload %s, update %s)\n",
               server.bind_address().c_str(), server.port(), threads,
-              cache_mb, std::max<size_t>(1, shards), shards >= 2 ? "s" : "",
+              cache_mb, shards, shards >= 2 ? "s" : "",
               server_options.allow_reload ? "on" : "off",
               allow_update ? "on" : "off");
   std::fflush(stdout);  // the smoke test greps a redirected log for this
@@ -762,7 +749,8 @@ int CmdServe(const Args& args) {
   service_options.cache_compose_min_walk_us =
       args.GetDouble("compose-min-us", 100.0);
   ApplyTracingArgs(args, &service_options);
-  const size_t shards = args.GetUint("shards", 1);
+  const size_t shards = std::max<uint64_t>(1, args.GetUint("shards", 1));
+  service_options.num_shards = shards;
   std::unique_ptr<QueryBackend> backend =
       MakeServeBackend(args, *net, service_options, nullptr);
   if (!backend) return 1;
@@ -771,7 +759,7 @@ int CmdServe(const Args& args) {
       "serving %zu queries x%zu passes, %zu threads, %zu MiB cache, "
       "%zu shard%s\n",
       workload.size(), repeat, service.num_threads(), cache_mb,
-      std::max<size_t>(1, shards), shards >= 2 ? "s" : "");
+      shards, shards >= 2 ? "s" : "");
 
   // Pre-split the workload into batches outside the timed passes so the
   // reported throughput measures serving, not vector copies.
