@@ -567,9 +567,10 @@ void RunChurnDataset(const char* name,
     // pattern space.
     IndexUpdater updater(
         std::move(net), std::move(tree),
-        [&backend](TcTree t, const std::vector<ItemId>& changed_roots,
+        [&backend](std::shared_ptr<const TcTreeSnapshot> snap,
+                   const std::vector<ItemId>& changed_roots,
                    const std::vector<ItemId>& dirty_items) {
-          return backend->ApplyUpdatedSnapshot(std::move(t), changed_roots,
+          return backend->ApplyUpdatedSnapshot(std::move(snap), changed_roots,
                                                dirty_items);
         },
         build_options);

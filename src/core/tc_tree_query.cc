@@ -4,56 +4,14 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/tcfi_format.h"
+#include "core/tc_tree_view.h"
 
 namespace tcf {
 
 namespace {
 
-// The walks below are templated over a *tree view* so the owned
-// (TcTree) and mapped (MappedTcTree, core/tcfi_format.h) snapshots run
-// the exact same traversal — same visit order, same counters, same
-// truss assembly — and therefore produce byte-identical answers for the
-// same index bytes. The views adapt only the arena access: vector
-// members on one side, mapped CSR slices on the other.
-
-struct OwnedTreeView {
-  const TcTree& t;
-  using NodeId = TcTree::NodeId;
-
-  size_t num_children(NodeId id) const { return t.node(id).children.size(); }
-  NodeId child(NodeId id, size_t k) const { return t.node(id).children[k]; }
-  ItemId item(NodeId id) const { return t.node(id).item; }
-  CohesionValue max_alpha(NodeId id) const {
-    return t.node(id).decomposition.max_alpha();
-  }
-  std::vector<Edge> EdgesAtAlphaQ(NodeId id, CohesionValue aq) const {
-    return t.node(id).decomposition.EdgesAtAlphaQ(aq);
-  }
-  Itemset PatternOf(NodeId id) const { return t.PatternOf(id); }
-  void FillVertices(NodeId id, PatternTruss* truss) const {
-    const TrussDecomposition& d = t.node(id).decomposition;
-    FillVerticesFromEdges(d.vertices(), d.frequencies(), truss);
-  }
-};
-
-struct MappedTreeView {
-  const MappedTcTree& t;
-  using NodeId = MappedTcTree::NodeId;
-
-  size_t num_children(NodeId id) const { return t.num_children(id); }
-  NodeId child(NodeId id, size_t k) const { return t.children(id)[k]; }
-  ItemId item(NodeId id) const { return t.item(id); }
-  CohesionValue max_alpha(NodeId id) const { return t.node_max_alpha(id); }
-  std::vector<Edge> EdgesAtAlphaQ(NodeId id, CohesionValue aq) const {
-    return t.EdgesAtAlphaQ(id, aq);
-  }
-  Itemset PatternOf(NodeId id) const { return t.PatternOf(id); }
-  void FillVertices(NodeId id, PatternTruss* truss) const {
-    FillVerticesFromEdges(t.vertices(id), t.frequencies(id),
-                          t.num_vertices(id), truss);
-  }
-};
+// The walks below are templated over a tree view (core/tc_tree_view.h),
+// so owned and mapped snapshots give byte-identical answers.
 
 template <typename View>
 TcTreeQueryResult QueryWalk(const View& tree, const Itemset& q,

@@ -30,7 +30,7 @@ struct TcTreeQueryOptions {
   /// the walk with `TcTreeQueryResult::deadline_exceeded` set and
   /// whatever partial counters it had — never a crash or a hang.
   /// Default-constructed = unbounded (no clock reads at all).
-  Deadline deadline;
+  Deadline deadline{};
 };
 
 /// Result of one `(q, α_q)` query (§6.3).

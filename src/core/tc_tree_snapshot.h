@@ -17,9 +17,12 @@ namespace tcf {
 /// The serving layer (serve/query_service.h) holds snapshots by
 /// shared_ptr and never cares which flavor it got — Query/Compose
 /// dispatch to the same templated walk (tc_tree_query.cc), so answers
-/// are byte-identical for the same index bytes. Only the places that
-/// must *mutate* (the incremental updater's baseline, partitioning)
-/// materialize an owned tree out of a mapped one.
+/// are byte-identical for the same index bytes. The streaming updater
+/// (core/tc_tree_update.h) shares the served snapshot as its baseline
+/// and replays from either flavor in place, through the same tree views
+/// (core/tc_tree_view.h); so one process holds one copy of the index.
+/// Only partitioning into shards materializes an owned tree out of a
+/// mapped one.
 class TcTreeSnapshot {
  public:
   explicit TcTreeSnapshot(TcTree tree) : owned_(std::move(tree)) {}
@@ -58,8 +61,9 @@ class TcTreeSnapshot {
     return mapped_ ? mapped_->FileBytes() : owned_->MemoryBytes();
   }
 
-  /// A heap-owned copy of the index — the raw material for mutation
-  /// (incremental update baseline, partitioning into shard slices).
+  /// A heap-owned copy of the index: what partitioning a *shared*
+  /// snapshot into shard slices consumes, leaving the snapshot to its
+  /// other holders.
   TcTree MaterializeTree() const {
     return mapped_ ? MaterializeTcTree(*mapped_) : TcTree(*owned_);
   }

@@ -7,6 +7,7 @@
 
 #include "core/mptd.h"
 #include "core/pattern_truss.h"
+#include "core/tc_tree_view.h"
 #include "net/theme_network.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -82,9 +83,12 @@ BuildWorkspace& WorkspaceForThisWorker(std::vector<BuildWorkspace>& all) {
 
 /// The child of `parent` (in `old_tree`) carrying `item`, or kNoParent.
 /// Child lists are item-ascending, so the scan can stop early.
-NodeId FindOldChild(const TcTree& old_tree, NodeId parent, ItemId item) {
-  for (NodeId c : old_tree.node(parent).children) {
-    const ItemId ci = old_tree.node(c).item;
+template <typename View>
+NodeId FindOldChild(const View& old_tree, NodeId parent, ItemId item) {
+  const size_t fanout = old_tree.num_children(parent);
+  for (size_t k = 0; k < fanout; ++k) {
+    const NodeId c = old_tree.child(parent, k);
+    const ItemId ci = old_tree.item(c);
     if (ci == item) return c;
     if (ci > item) break;
   }
@@ -164,10 +168,16 @@ std::vector<ItemId> ComputeDirtyItems(const DatabaseNetwork& net,
   return dirty;
 }
 
-TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
-                                const DatabaseNetwork& net,
-                                const std::vector<ItemId>& dirty_items,
-                                const TcTreeOptions& options) {
+namespace {
+
+/// UpdateTcTree over either arena (core/tc_tree_view.h). `old_truncated`
+/// is the old build's `truncated` bit where it survived (an owned tree's
+/// build stats); a mapped baseline passes false.
+template <typename View>
+TcTreeUpdateResult UpdateFrom(const View& old_tree, bool old_truncated,
+                              const DatabaseNetwork& net,
+                              const std::vector<ItemId>& dirty_items,
+                              const TcTreeOptions& options) {
   WallTimer timer;
   TcTreeUpdateResult result;
 
@@ -177,7 +187,7 @@ TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
   // live subtree. (The node-count test also catches trees loaded from
   // disk, whose build stats did not survive serialization.)
   const bool old_unusable =
-      old_tree.build_stats().truncated ||
+      old_truncated ||
       (options.max_nodes != 0 && old_tree.num_nodes() >= options.max_nodes);
   if (old_unusable) {
     result.tree = TcTree::Build(net, options);
@@ -231,7 +241,7 @@ TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
       const NodeId oc = FindOldChild(old_tree, TcTree::kRoot, item);
       if (oc != TcTree::kNoParent) {
         r.old_id = oc;
-        r.d = old_tree.node(oc).decomposition;
+        r.d = old_tree.Decomposition(oc);
       }
       return;
     }
@@ -321,8 +331,7 @@ TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
           ++ex.clean_candidates;
           const NodeId oc = FindOldChild(old_tree, entry.old_id, item_b);
           if (oc == TcTree::kNoParent) continue;  // old build pruned it
-          ex.children.push_back(
-              {item_b, old_tree.node(oc).decomposition, oc, true});
+          ex.children.push_back({item_b, old_tree.Decomposition(oc), oc, true});
           ++ex.copied;
           continue;
         }
@@ -412,12 +421,43 @@ TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
   return result;
 }
 
-IndexUpdater::IndexUpdater(DatabaseNetwork net, TcTree tree, SnapshotSink sink,
+}  // namespace
+
+TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
+                                const DatabaseNetwork& net,
+                                const std::vector<ItemId>& dirty_items,
+                                const TcTreeOptions& options) {
+  return UpdateFrom(OwnedTreeView{old_tree}, old_tree.build_stats().truncated,
+                    net, dirty_items, options);
+}
+
+TcTreeUpdateResult UpdateTcTree(const TcTreeSnapshot& old_tree,
+                                const DatabaseNetwork& net,
+                                const std::vector<ItemId>& dirty_items,
+                                const TcTreeOptions& options) {
+  if (const MappedTcTree* mapped = old_tree.mapped_tree()) {
+    // TCFI does not store the `truncated` bit: a mapped baseline falls
+    // back to a full rebuild only through the node-count test.
+    return UpdateFrom(MappedTreeView{*mapped}, /*old_truncated=*/false, net,
+                      dirty_items, options);
+  }
+  return UpdateTcTree(*old_tree.owned_tree(), net, dirty_items, options);
+}
+
+IndexUpdater::IndexUpdater(DatabaseNetwork net,
+                           std::shared_ptr<const TcTreeSnapshot> baseline,
+                           SnapshotSink sink,
                            const TcTreeOptions& build_options)
     : net_(std::move(net)),
-      tree_(std::move(tree)),
+      snapshot_(std::move(baseline)),
       sink_(std::move(sink)),
       options_(build_options) {}
+
+IndexUpdater::IndexUpdater(DatabaseNetwork net, TcTree tree, SnapshotSink sink,
+                           const TcTreeOptions& build_options)
+    : IndexUpdater(std::move(net),
+                   std::make_shared<const TcTreeSnapshot>(std::move(tree)),
+                   std::move(sink), build_options) {}
 
 void IndexUpdater::Enqueue(NetworkUpdate update) {
   if (update.empty()) return;
@@ -441,7 +481,7 @@ StatusOr<UpdateOutcome> IndexUpdater::Flush() {
     queue_.clear();
   }
   if (batch.empty()) {
-    outcome.tree_nodes = tree_.num_nodes();
+    outcome.tree_nodes = snapshot_->num_nodes();
     return outcome;
   }
   WallTimer timer;
@@ -462,17 +502,18 @@ StatusOr<UpdateOutcome> IndexUpdater::Flush() {
     TCF_CHECK(net_.AddEdge(e.u, e.v).ok());
   }
 
-  TcTreeUpdateResult result = UpdateTcTree(tree_, net_, dirty, options_);
+  TcTreeUpdateResult result = UpdateTcTree(*snapshot_, net_, dirty, options_);
   outcome.dirty_items = dirty.size();
   outcome.changed_roots = result.changed_roots.size();
   outcome.tree_nodes = result.tree.num_nodes();
   outcome.stats = result.stats;
+  // One tree, shared with the sink: the backend serves the very object
+  // the next replay reads as its baseline.
+  auto fresh = std::make_shared<const TcTreeSnapshot>(std::move(result.tree));
   if (sink_) {
-    TcTree copy = result.tree;
-    outcome.shards_swapped =
-        sink_(std::move(copy), result.changed_roots, dirty);
+    outcome.shards_swapped = sink_(fresh, result.changed_roots, dirty);
   }
-  tree_ = std::move(result.tree);
+  snapshot_ = std::move(fresh);
   outcome.apply_ms = timer.Millis();
   return outcome;
 }

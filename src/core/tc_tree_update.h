@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/tc_tree.h"
+#include "core/tc_tree_snapshot.h"
 #include "net/database_network.h"
 #include "tx/itemset.h"
 #include "util/status.h"
@@ -113,6 +115,17 @@ TcTreeUpdateResult UpdateTcTree(const TcTree& old_tree,
                                 const std::vector<ItemId>& dirty_items,
                                 const TcTreeOptions& options = {});
 
+/// The same replay over either snapshot flavor. A mapped `old_tree` is
+/// read in place (core/tc_tree_view.h): only the decompositions the
+/// replay copies are assembled from its records, never the whole tree.
+/// TCFI does not store the build's `truncated` bit, so a mapped
+/// baseline falls back to a full Build only when it holds at least
+/// `max_nodes` nodes — which a truncated build always does.
+TcTreeUpdateResult UpdateTcTree(const TcTreeSnapshot& old_tree,
+                                const DatabaseNetwork& net,
+                                const std::vector<ItemId>& dirty_items,
+                                const TcTreeOptions& options = {});
+
 /// Aggregate outcome of one IndexUpdater::Flush (the payload of the
 /// wire-level `UPDATED` response).
 struct UpdateOutcome {
@@ -129,7 +142,9 @@ struct UpdateOutcome {
 
 /// \brief Serialized streaming updater for a live index.
 ///
-/// Owns the authoritative DatabaseNetwork and the current TcTree.
+/// Owns the authoritative DatabaseNetwork and shares the snapshot it
+/// last installed: its baseline is the one the server serves, not a
+/// copy of it.
 /// Producers Enqueue() batches from any thread; Flush() drains the
 /// queue as one merged batch under a single apply lock — validate,
 /// compute the dirty set, mutate the network, incrementally rebuild,
@@ -137,19 +152,32 @@ struct UpdateOutcome {
 /// hints) to the snapshot sink, which rolls it into the serving backend
 /// through the epoch-safe swap machinery. Queries keep running on the
 /// previous snapshot throughout; nothing here blocks the read path.
+///
+/// A RELOAD or `--watch` swap does not reach the updater: the next
+/// Flush still replays from the updater's own network and the snapshot
+/// it last installed, so its result replaces the reloaded index
+/// (docs/serve-protocol.md, UPDATE).
 class IndexUpdater {
  public:
-  /// Receives each freshly built snapshot. `changed_roots` bounds the
+  /// Receives each freshly built snapshot — the same object the
+  /// updater keeps as its next baseline. `changed_roots` bounds the
   /// shards that must swap; `dirty_items` bounds the cache entries that
   /// must drop. Returns the number of shard snapshots actually swapped
   /// (QueryBackend::ApplyUpdatedSnapshot has this exact shape).
   using SnapshotSink = std::function<size_t(
-      TcTree tree, const std::vector<ItemId>& changed_roots,
+      std::shared_ptr<const TcTreeSnapshot> snapshot,
+      const std::vector<ItemId>& changed_roots,
       const std::vector<ItemId>& dirty_items)>;
 
-  /// `net` and `tree` must agree (tree built over net with
-  /// `build_options`); `sink` may be null for updaters that only
-  /// maintain their own copy (tests).
+  /// `net` and `baseline` must agree (the tree built over net with
+  /// `build_options`). `baseline` is typically the snapshot a one-shard
+  /// QueryService is serving, mapped or owned; the first replay reads
+  /// it in place. `sink` may be null for updaters that only maintain
+  /// their own snapshot (tests).
+  IndexUpdater(DatabaseNetwork net,
+               std::shared_ptr<const TcTreeSnapshot> baseline,
+               SnapshotSink sink, const TcTreeOptions& build_options = {});
+  /// Starts from an owned tree.
   IndexUpdater(DatabaseNetwork net, TcTree tree, SnapshotSink sink,
                const TcTreeOptions& build_options = {});
 
@@ -176,7 +204,11 @@ class IndexUpdater {
   /// The authoritative post-update state. Only safe to read while no
   /// Flush/Apply is in flight (tests join their updater threads first).
   const DatabaseNetwork& network() const { return net_; }
-  const TcTree& tree() const { return tree_; }
+  /// The baseline of the next replay: the snapshot last handed to the
+  /// sink, or the constructor's until the first non-empty Flush.
+  const std::shared_ptr<const TcTreeSnapshot>& snapshot() const {
+    return snapshot_;
+  }
 
  private:
   mutable std::mutex queue_mu_;
@@ -184,7 +216,7 @@ class IndexUpdater {
 
   std::mutex apply_mu_;  // serializes Flush end to end
   DatabaseNetwork net_;
-  TcTree tree_;
+  std::shared_ptr<const TcTreeSnapshot> snapshot_;
   SnapshotSink sink_;
   TcTreeOptions options_;
 };

@@ -529,34 +529,32 @@ Status ProbeTcfiFile(const std::string& path) {
   return ValidateHeader(header, actual_size);
 }
 
+TrussDecomposition MappedTcTree::Decomposition(NodeId id) const {
+  std::vector<DecompositionLevel> parts(num_levels(id));
+  for (size_t k = 0; k < parts.size(); ++k) {
+    const TcfiLevelRec& rec = levels(id)[k];
+    parts[k].alpha = rec.alpha;
+    const Edge* e = level_edges(rec);
+    parts[k].removed.assign(e, e + rec.edges_count);
+  }
+  const size_t n = num_vertices(id);
+  return TrussDecomposition::FromParts(
+      PatternOf(id), std::vector<VertexId>(vertices(id), vertices(id) + n),
+      std::vector<double>(frequencies(id), frequencies(id) + n),
+      std::move(parts));
+}
+
 TcTree MaterializeTcTree(const MappedTcTree& mapped) {
   const size_t total = mapped.num_nodes() + 1;
   std::deque<TcTree::Node> nodes;
-  for (size_t id = 0; id < total; ++id) {
+  for (size_t i = 0; i < total; ++i) {
+    const auto id = static_cast<MappedTcTree::NodeId>(i);
     TcTree::Node n;
-    n.item = mapped.item(static_cast<MappedTcTree::NodeId>(id));
-    n.parent = mapped.parent(static_cast<MappedTcTree::NodeId>(id));
-    const auto nid = static_cast<MappedTcTree::NodeId>(id);
-    n.children.assign(mapped.children(nid),
-                      mapped.children(nid) + mapped.num_children(nid));
-    if (id != 0) {
-      std::vector<DecompositionLevel> levels(mapped.num_levels(nid));
-      for (size_t k = 0; k < levels.size(); ++k) {
-        const TcfiLevelRec& rec = mapped.levels(nid)[k];
-        levels[k].alpha = rec.alpha;
-        const Edge* e = mapped.level_edges(rec);
-        levels[k].removed.assign(e, e + rec.edges_count);
-      }
-      n.decomposition = TrussDecomposition::FromParts(
-          mapped.PatternOf(nid),
-          std::vector<VertexId>(mapped.vertices(nid),
-                                mapped.vertices(nid) +
-                                    mapped.num_vertices(nid)),
-          std::vector<double>(mapped.frequencies(nid),
-                              mapped.frequencies(nid) +
-                                  mapped.num_vertices(nid)),
-          std::move(levels));
-    }
+    n.item = mapped.item(id);
+    n.parent = mapped.parent(id);
+    n.children.assign(mapped.children(id),
+                      mapped.children(id) + mapped.num_children(id));
+    if (id != TcTree::kRoot) n.decomposition = mapped.Decomposition(id);
     nodes.push_back(std::move(n));
   }
   return TcTree::FromNodes(std::move(nodes));

@@ -235,6 +235,13 @@ class MappedTcTree {
   /// TcTree::PatternOf.
   Itemset PatternOf(NodeId id) const;
 
+  /// A heap-owned copy of a non-root node's decomposition, assembled
+  /// from its level, vertex and frequency records — field for field the
+  /// one the file was saved from. MaterializeTcTree builds every node's
+  /// this way, and the incremental replay every node it copies out of
+  /// a mapped baseline (core/tc_tree_update.h).
+  TrussDecomposition Decomposition(NodeId id) const;
+
   /// The vertical index: layer-1 entries ascending by item.
   const TcfiRootIndexRec* root_index() const { return roots_; }
   size_t root_index_size() const { return num_roots_; }
@@ -281,10 +288,11 @@ StatusOr<MappedTcTree> MapTcTree(const std::string& path,
 /// half-written `.tcfi` without attempting (and miscounting) a load.
 Status ProbeTcfiFile(const std::string& path);
 
-/// Rebuilds a heap-owned TcTree from the mapped arenas (FromParts +
-/// FromNodes). Answers and re-serialized bytes are identical to the
-/// tree the file was saved from; used where mutation is needed (the
-/// streaming updater's baseline, partitioning a mapped full index).
+/// Rebuilds a heap-owned TcTree from the mapped arenas
+/// (MappedTcTree::Decomposition per node + FromNodes). Answers and
+/// re-serialized bytes are identical to the tree the file was saved
+/// from; used where an owned tree is needed (partitioning a mapped full
+/// index into shards).
 TcTree MaterializeTcTree(const MappedTcTree& mapped);
 
 /// Canonical per-shard slice filename: `base` + ".shard<i>-of-<n>".

@@ -4,10 +4,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/tc_tree.h"
 #include "core/tc_tree_query.h"
+#include "core/tc_tree_snapshot.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "serve/result_cache.h"
@@ -27,7 +29,7 @@ struct ServeQuery {
   /// default-constructed get the unbounded pre-deadline behaviour.
   /// An expired budget surfaces as `deadline_exceeded` on the result —
   /// partial work the transport turns into ERR DeadlineExceeded.
-  Deadline deadline;
+  Deadline deadline{};
 };
 
 /// Largest alpha the serving layer accepts. Cohesion arithmetic is
@@ -100,8 +102,18 @@ class QueryBackend {
   /// drop only the entries whose patterns intersect the dirty set.
   /// Returns the number of shard snapshots actually swapped.
   virtual size_t ApplyUpdatedSnapshot(
-      TcTree tree, const std::vector<ItemId>& changed_roots,
+      std::shared_ptr<const TcTreeSnapshot> snapshot,
+      const std::vector<ItemId>& changed_roots,
       const std::vector<ItemId>& dirty_items) = 0;
+
+  /// The same with an owned tree, wrapped as a fresh snapshot.
+  size_t ApplyUpdatedSnapshot(TcTree tree,
+                              const std::vector<ItemId>& changed_roots,
+                              const std::vector<ItemId>& dirty_items) {
+    return ApplyUpdatedSnapshot(
+        std::make_shared<const TcTreeSnapshot>(std::move(tree)),
+        changed_roots, dirty_items);
+  }
 
   virtual const ItemDictionary& dictionary() const = 0;
   virtual size_t num_threads() const = 0;

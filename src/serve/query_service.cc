@@ -41,19 +41,23 @@ ResultCacheStats AddCacheStats(ResultCacheStats total,
   return total;
 }
 
+using SnapshotPtr = std::shared_ptr<const TcTreeSnapshot>;
+
 /// `whole` as `num_shards` shard snapshots: itself when there is one
 /// shard, otherwise PartitionTcTree of its (materialized) tree.
-std::vector<TcTreeSnapshot> SplitSnapshot(TcTreeSnapshot whole,
-                                          size_t num_shards) {
-  std::vector<TcTreeSnapshot> parts;
+std::vector<SnapshotPtr> SplitSnapshot(TcTreeSnapshot whole,
+                                       size_t num_shards) {
+  std::vector<SnapshotPtr> parts;
   if (num_shards <= 1) {
-    parts.push_back(std::move(whole));
+    parts.push_back(std::make_shared<const TcTreeSnapshot>(std::move(whole)));
     return parts;
   }
   std::vector<TcTree> trees = PartitionTcTree(
       std::move(whole).TakeTree(), HashShardPartitioner(), num_shards);
   parts.reserve(trees.size());
-  for (TcTree& tree : trees) parts.emplace_back(std::move(tree));
+  for (TcTree& tree : trees) {
+    parts.push_back(std::make_shared<const TcTreeSnapshot>(std::move(tree)));
+  }
   return parts;
 }
 
@@ -62,14 +66,14 @@ std::vector<TcTreeSnapshot> SplitSnapshot(TcTreeSnapshot whole,
 /// its shard metadata checked — all of them before the caller uses any,
 /// so a bad slice never leaves a service half-opened or half-rolled.
 /// Otherwise the whole file is mapped and split.
-StatusOr<std::vector<TcTreeSnapshot>> MapShards(const std::string& path,
-                                                size_t num_shards) {
+StatusOr<std::vector<SnapshotPtr>> MapShards(const std::string& path,
+                                             size_t num_shards) {
   if (num_shards < 2 || !TcfiSlicesExist(path, num_shards)) {
     auto mapped = MapTcTree(path);
     if (!mapped.ok()) return mapped.status();
     return SplitSnapshot(TcTreeSnapshot(std::move(*mapped)), num_shards);
   }
-  std::vector<TcTreeSnapshot> parts;
+  std::vector<SnapshotPtr> parts;
   parts.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     const std::string slice = TcfiSlicePath(path, s, num_shards);
@@ -82,7 +86,7 @@ StatusOr<std::vector<TcTreeSnapshot>> MapShards(const std::string& path,
                     static_cast<size_t>(mapped->num_shards()), s,
                     num_shards));
     }
-    parts.emplace_back(std::move(*mapped));
+    parts.push_back(std::make_shared<const TcTreeSnapshot>(std::move(*mapped)));
   }
   return parts;
 }
@@ -144,7 +148,7 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
     : QueryService(SplitSnapshot(std::move(snapshot), options.num_shards),
                    std::move(dictionary), options) {}
 
-QueryService::QueryService(std::vector<TcTreeSnapshot> parts,
+QueryService::QueryService(std::vector<SnapshotPtr> parts,
                            ItemDictionary dictionary,
                            const QueryServiceOptions& options)
     : dictionary_(std::move(dictionary)),
@@ -183,7 +187,7 @@ QueryService::QueryService(std::vector<TcTreeSnapshot> parts,
   options_.num_shards = n;
   for (size_t s = 0; s < n; ++s) {
     Shard& shard = shards_[s];
-    shard.snapshot = std::make_shared<const TcTreeSnapshot>(std::move(parts[s]));
+    shard.snapshot = std::move(parts[s]);
     if (options_.cache_bytes > 0) {
       shard.cache = std::make_unique<ResultCache>(ResultCacheOptions{
           .capacity_bytes = std::max<size_t>(1, options_.cache_bytes / n),
@@ -626,13 +630,11 @@ StatusOr<ServeQuery> ParseServeQuery(const ItemDictionary& dictionary,
   return query;
 }
 
-void QueryService::SwapShardSnapshot(size_t s, TcTreeSnapshot shard_snapshot,
+void QueryService::SwapShardSnapshot(size_t s, SnapshotPtr fresh,
                                      const std::vector<ItemId>* dirty_items) {
   WallTimer timer;
   Shard& shard = shards_[s];
-  auto fresh =
-      std::make_shared<const TcTreeSnapshot>(std::move(shard_snapshot));
-  std::shared_ptr<const TcTreeSnapshot> old;
+  SnapshotPtr old;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     old = std::move(shard.snapshot);
@@ -656,7 +658,7 @@ void QueryService::SwapShardSnapshot(size_t s, TcTreeSnapshot shard_snapshot,
 }
 
 void QueryService::SwapSnapshot(TcTreeSnapshot snapshot) {
-  std::vector<TcTreeSnapshot> parts =
+  std::vector<SnapshotPtr> parts =
       SplitSnapshot(std::move(snapshot), shards_.size());
   for (size_t s = 0; s < parts.size(); ++s) {
     SwapShardSnapshot(s, std::move(parts[s]));
@@ -672,18 +674,25 @@ StatusOr<size_t> QueryService::ReloadFromFile(const std::string& path) {
   if (!parts.ok()) return parts.status();
   size_t nodes = 0;
   for (size_t s = 0; s < parts->size(); ++s) {
-    nodes += (*parts)[s].num_nodes();
+    nodes += (*parts)[s]->num_nodes();
     SwapShardSnapshot(s, std::move((*parts)[s]));
   }
   return nodes;
 }
 
 size_t QueryService::ApplyUpdatedSnapshot(
-    TcTree tree, const std::vector<ItemId>& changed_roots,
+    SnapshotPtr snapshot, const std::vector<ItemId>& changed_roots,
     const std::vector<ItemId>& dirty_items) {
   const size_t n = shards_.size();
-  std::vector<TcTreeSnapshot> parts =
-      SplitSnapshot(TcTreeSnapshot(std::move(tree)), n);
+  // One shard installs the snapshot as handed in, so the updater and the
+  // shard share one tree. N >= 2 partitions a copy and leaves the whole
+  // tree to the caller (the updater's next baseline).
+  std::vector<SnapshotPtr> parts;
+  if (n == 1) {
+    parts.push_back(std::move(snapshot));
+  } else {
+    parts = SplitSnapshot(TcTreeSnapshot(snapshot->MaterializeTree()), n);
+  }
   // Every pattern lives on the shard of its minimum item — its layer-1
   // ancestor's item — so a shard owning none of the changed roots got a
   // partition identical to what it is already serving (the partitioner

@@ -60,7 +60,7 @@ struct QueryServiceOptions {
   size_t num_shards = 1;
   /// Per-query traversal knobs, fixed for the service's lifetime so that
   /// cached results are interchangeable with fresh ones.
-  TcTreeQueryOptions query_options;
+  TcTreeQueryOptions query_options{};
   /// Request-scoped tracing (docs/observability.md): every Execute
   /// records per-stage wall/CPU spans into the metrics registry's
   /// histograms and threshold-checks the slow-query log. Off, queries
@@ -173,7 +173,8 @@ class QueryService : public QueryBackend {
   /// shard's partition); the other shards keep snapshot and cache. With
   /// `dirty_items` the shard's cache keeps every entry that does not
   /// intersect them; without, it is flushed. The unit every swap rolls.
-  void SwapShardSnapshot(size_t shard, TcTreeSnapshot shard_snapshot,
+  void SwapShardSnapshot(size_t shard,
+                         std::shared_ptr<const TcTreeSnapshot> shard_snapshot,
                          const std::vector<ItemId>* dirty_items = nullptr);
 
   /// RELOAD from disk, loading as Open does: the N slice files when they
@@ -182,16 +183,20 @@ class QueryService : public QueryBackend {
   /// live snapshots untouched. Returns the nodes installed.
   StatusOr<size_t> ReloadFromFile(const std::string& path) override;
 
-  /// Incremental swap (core/tc_tree_update.h): splits the updated tree
-  /// and rolls only the shards owning a changed layer-1 root (always the
-  /// one shard when N = 1). A shard owning none got a partition
-  /// identical to the one it serves, so it keeps snapshot and cache.
-  /// Swapped shards drop *only* the cached entries whose pattern
+  /// Incremental swap (core/tc_tree_update.h). At N = 1 the one shard
+  /// installs `snapshot` itself — the object the IndexUpdater keeps as
+  /// its next baseline, so the server holds one copy of the index. At
+  /// N >= 2 it partitions a copy of the updated tree and rolls only the
+  /// shards owning a changed layer-1 root; a shard owning none got a
+  /// partition identical to the one it serves, so it keeps snapshot and
+  /// cache. Swapped shards drop *only* the cached entries whose pattern
   /// intersects `dirty_items`; survivors are retagged to the new
   /// snapshot and keep serving. Returns the number of shards swapped.
-  size_t ApplyUpdatedSnapshot(TcTree tree,
-                              const std::vector<ItemId>& changed_roots,
-                              const std::vector<ItemId>& dirty_items) override;
+  size_t ApplyUpdatedSnapshot(
+      std::shared_ptr<const TcTreeSnapshot> snapshot,
+      const std::vector<ItemId>& changed_roots,
+      const std::vector<ItemId>& dirty_items) override;
+  using QueryBackend::ApplyUpdatedSnapshot;
 
   /// Streaming updates applied so far (ApplyUpdatedSnapshot calls).
   uint64_t updates_applied() const {
@@ -242,8 +247,8 @@ class QueryService : public QueryBackend {
   };
 
   /// Serves `parts` as shards 0..N-1 (N = parts.size() >= 1).
-  QueryService(std::vector<TcTreeSnapshot> parts, ItemDictionary dictionary,
-               const QueryServiceOptions& options);
+  QueryService(std::vector<std::shared_ptr<const TcTreeSnapshot>> parts,
+               ItemDictionary dictionary, const QueryServiceOptions& options);
 
   /// The shard owning every item of `items` (shard 0 for an empty
   /// query), or num_shards() when the items span several shards.

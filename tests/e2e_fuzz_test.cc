@@ -270,9 +270,10 @@ TEST_P(E2EUpdateFuzzTest, WireUpdateInterleavingMatchesRebuildOracle) {
         std::make_unique<QueryService>(initial, serve_net.dictionary(), warm);
     IndexUpdater updater(
         std::move(serve_net), std::move(initial),
-        [&](TcTree tree, const std::vector<ItemId>& changed_roots,
+        [&](std::shared_ptr<const TcTreeSnapshot> snap,
+            const std::vector<ItemId>& changed_roots,
             const std::vector<ItemId>& dirty_items) {
-          return backend->ApplyUpdatedSnapshot(std::move(tree), changed_roots,
+          return backend->ApplyUpdatedSnapshot(std::move(snap), changed_roots,
                                                dirty_items);
         });
 

@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "core/tc_tree.h"
+#include "core/tc_tree_snapshot.h"
 #include "core/tc_tree_update.h"
+#include "core/tcfi_format.h"
 #include "gen/checkin_generator.h"
 #include "gen/syn_generator.h"
 #include "net/database_network.h"
@@ -111,6 +113,12 @@ void ReplayOnOracle(DatabaseNetwork& oracle, const NetworkUpdate& u) {
   }
 }
 
+/// The updater's current index as an owned tree (a mapped baseline is
+/// materialized), for the field-for-field comparisons.
+TcTree UpdaterTree(const IndexUpdater& updater) {
+  return updater.snapshot()->MaterializeTree();
+}
+
 // ---------------------------------------------------------------------
 // Field-for-field subtree equality (whole trees: ExpectSameTree).
 // ---------------------------------------------------------------------
@@ -176,7 +184,7 @@ void RunDifferential(DatabaseNetwork updater_net, DatabaseNetwork oracle_net,
   Rng rng(seed * 7919 + 17);
   for (size_t b = 0; b < batches; ++b) {
     NetworkUpdate batch = RandomBatch(rng, updater.network(), ops_per_batch);
-    const TcTree before = updater.tree();
+    const TcTree before = UpdaterTree(updater);
     ReplayOnOracle(oracle_net, batch);
 
     // Check the dirty/changed hints against a standalone UpdateTcTree
@@ -189,7 +197,7 @@ void RunDifferential(DatabaseNetwork updater_net, DatabaseNetwork oracle_net,
     EXPECT_EQ(outcome->dirty_items, dirty.size());
 
     const TcTree oracle = TcTree::Build(oracle_net, oracle_options);
-    ExpectSameTree(updater.tree(), oracle,
+    ExpectSameTree(UpdaterTree(updater), oracle,
                    "batch " + std::to_string(b) + " seed " +
                        std::to_string(seed));
     EXPECT_EQ(outcome->tree_nodes, oracle.num_nodes());
@@ -200,7 +208,8 @@ void RunDifferential(DatabaseNetwork updater_net, DatabaseNetwork oracle_net,
       TcTreeUpdateResult redo =
           UpdateTcTree(before, updater.network(), dirty, update_options);
       EXPECT_EQ(redo.changed_roots.size(), outcome->changed_roots);
-      ExpectUnchangedRootsStable(before, updater.tree(), redo.changed_roots);
+      ExpectUnchangedRootsStable(before, UpdaterTree(updater),
+                                 redo.changed_roots);
     }
   }
 }
@@ -251,6 +260,116 @@ TEST(IncrementalUpdateDifferential, DepthCappedBuilds) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Mapped baselines: a server's updater replays from the TCFI snapshot it
+// serves. Every batch, the pre-update tree is saved and mapped back, and
+// UpdateTcTree over the mapped file must equal the owned-baseline replay
+// and the from-scratch rebuild field for field, with the same work
+// counters and changed roots. An IndexUpdater started from the mapped
+// initial index must track one started from the owned tree.
+// ---------------------------------------------------------------------
+
+void ExpectSameUpdate(const TcTreeUpdateResult& from_file,
+                      const TcTreeUpdateResult& from_tree,
+                      const std::string& context) {
+  ExpectSameTree(from_tree.tree, from_file.tree, context);
+  EXPECT_EQ(from_file.stats.copied, from_tree.stats.copied) << context;
+  EXPECT_EQ(from_file.stats.recomputed, from_tree.stats.recomputed)
+      << context;
+  EXPECT_EQ(from_file.stats.full_rebuild, from_tree.stats.full_rebuild)
+      << context;
+  EXPECT_EQ(from_file.changed_roots, from_tree.changed_roots) << context;
+}
+
+/// `*file_rebuilds` (when given) counts the mapped replays that fell
+/// back to a full rebuild.
+void RunMappedDifferential(DatabaseNetwork (*make)(uint64_t), uint64_t seed,
+                           const TcTreeOptions& options, size_t batches,
+                           size_t ops_per_batch,
+                           size_t* file_rebuilds = nullptr) {
+  const std::string path = ::testing::TempDir() + "/mapped_baseline_" +
+                           std::to_string(seed) + ".tcfi";
+  DatabaseNetwork net = make(seed);  // the standalone replays' network
+  TcTree owned = TcTree::Build(net, options);
+  ASSERT_TRUE(SaveTcTreeBinary(owned, path).ok());
+  auto initial = MapTcTree(path);
+  ASSERT_TRUE(initial.ok()) << initial.status();
+  IndexUpdater from_tree(make(seed), TcTree(owned), nullptr, options);
+  IndexUpdater from_file(
+      make(seed), std::make_shared<const TcTreeSnapshot>(std::move(*initial)),
+      nullptr, options);
+  ASSERT_TRUE(from_file.snapshot()->mapped());
+
+  Rng rng(seed * 104729 + 3);
+  for (size_t b = 0; b < batches; ++b) {
+    const std::string context =
+        "batch " + std::to_string(b) + " seed " + std::to_string(seed);
+    NetworkUpdate batch = RandomBatch(rng, net, ops_per_batch);
+    ASSERT_TRUE(SaveTcTreeBinary(owned, path).ok());
+    auto mapped = MapTcTree(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    const std::vector<ItemId> dirty = ComputeDirtyItems(net, batch);
+    ReplayOnOracle(net, batch);
+
+    TcTreeUpdateResult replay_tree = UpdateTcTree(owned, net, dirty, options);
+    TcTreeUpdateResult replay_file = UpdateTcTree(
+        TcTreeSnapshot(std::move(*mapped)), net, dirty, options);
+    ExpectSameUpdate(replay_file, replay_tree, context);
+    if (file_rebuilds != nullptr && replay_file.stats.full_rebuild) {
+      ++*file_rebuilds;
+    }
+    const TcTree oracle = TcTree::Build(net, options);
+    ExpectSameTree(oracle, replay_file.tree, context + " vs rebuild");
+
+    auto a = from_tree.Apply(batch);
+    auto m = from_file.Apply(std::move(batch));
+    ASSERT_TRUE(a.ok() && m.ok()) << context;
+    EXPECT_EQ(m->stats.copied, a->stats.copied) << context;
+    EXPECT_EQ(m->stats.recomputed, a->stats.recomputed) << context;
+    EXPECT_EQ(m->stats.full_rebuild, a->stats.full_rebuild) << context;
+    EXPECT_EQ(m->changed_roots, a->changed_roots) << context;
+    ExpectSameTree(oracle, UpdaterTree(from_file), context + " updater");
+    owned = std::move(replay_tree.tree);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(IncrementalUpdateMappedBaseline, MatchesOwnedBaselineAndRebuild) {
+  for (uint64_t seed : {1, 2}) {
+    RunMappedDifferential(TinyBkLike, seed, {}, /*batches=*/4,
+                          /*ops_per_batch=*/4);
+  }
+  for (uint64_t seed : {4, 5}) {
+    RunMappedDifferential(TinySyn, seed, {}, /*batches=*/4,
+                          /*ops_per_batch=*/4);
+  }
+  for (uint64_t seed : {7, 8}) {
+    RunMappedDifferential(TinyUniform, seed, {}, /*batches=*/8,
+                          /*ops_per_batch=*/2);
+  }
+}
+
+TEST(IncrementalUpdateMappedBaseline, DepthCapped) {
+  TcTreeOptions capped;
+  capped.max_depth = 2;
+  RunMappedDifferential(TinyBkLike, 13, capped, /*batches=*/3,
+                        /*ops_per_batch=*/4);
+}
+
+// TCFI drops the build's `truncated` bit, so a mapped truncated tree
+// must still fall back to a full rebuild — through its node count.
+TEST(IncrementalUpdateMappedBaseline, TruncatedFallsBackThroughNodeCount) {
+  TcTreeOptions budgeted;
+  budgeted.max_nodes = 4;
+  const TcTree initial = TcTree::Build(TinyUniform(16), budgeted);
+  ASSERT_TRUE(initial.build_stats().truncated);
+  ASSERT_GE(initial.num_nodes(), budgeted.max_nodes);
+  size_t file_rebuilds = 0;
+  RunMappedDifferential(TinyUniform, 16, budgeted, /*batches=*/3,
+                        /*ops_per_batch=*/3, &file_rebuilds);
+  EXPECT_EQ(file_rebuilds, 3u);
+}
+
 TEST(IncrementalUpdateDifferential, NodeBudgetTripsAtSameNode) {
   const uint64_t seed = 15;
   DatabaseNetwork updater_net = TinyUniform(seed);
@@ -286,7 +405,7 @@ TEST(IncrementalUpdate, TruncatedTreeFallsBackToFullRebuild) {
   auto outcome = updater.Apply(std::move(batch));
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->stats.full_rebuild);
-  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net, budgeted),
+  ExpectSameTree(UpdaterTree(updater), TcTree::Build(oracle_net, budgeted),
                  "fallback rebuild");
 }
 
@@ -300,7 +419,7 @@ TEST(IncrementalUpdate, EmptyFlushIsANoop) {
   EXPECT_EQ(outcome->batches, 0u);
   EXPECT_EQ(outcome->transactions, 0u);
   EXPECT_EQ(outcome->tree_nodes, nodes);
-  EXPECT_EQ(updater.tree().num_nodes(), nodes);
+  EXPECT_EQ(updater.snapshot()->num_nodes(), nodes);
 }
 
 TEST(IncrementalUpdate, InvalidBatchIsRejectedWithoutMutating) {
@@ -325,7 +444,7 @@ TEST(IncrementalUpdate, InvalidBatchIsRejectedWithoutMutating) {
   // Whole batch rejected: no transaction landed, the index still equals
   // the oracle of the *unmodified* network.
   EXPECT_EQ(updater.network().num_edges(), edges_before);
-  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net),
+  ExpectSameTree(UpdaterTree(updater), TcTree::Build(oracle_net),
                  "tree after rejected batch");
 
   // Self-loops and unknown items are rejected the same way.
@@ -358,7 +477,7 @@ TEST(IncrementalUpdate, EnqueuedBatchesCoalesceIntoOneFlush) {
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->batches, 3u);
   EXPECT_EQ(updater.pending(), 0u);
-  ExpectSameTree(updater.tree(), TcTree::Build(oracle_net),
+  ExpectSameTree(UpdaterTree(updater), TcTree::Build(oracle_net),
                  "coalesced flush");
 }
 
@@ -412,9 +531,10 @@ void RunBackendDifferential(size_t num_shards, uint64_t seed) {
 
   IndexUpdater updater(
       std::move(updater_net), std::move(initial),
-      [&](TcTree tree, const std::vector<ItemId>& changed_roots,
+      [&](std::shared_ptr<const TcTreeSnapshot> snap,
+          const std::vector<ItemId>& changed_roots,
           const std::vector<ItemId>& dirty_items) {
-        return backend->ApplyUpdatedSnapshot(std::move(tree), changed_roots,
+        return backend->ApplyUpdatedSnapshot(std::move(snap), changed_roots,
                                              dirty_items);
       });
 
@@ -489,9 +609,10 @@ TEST(IncrementalUpdateServing, UntouchedShardsSkipTheSwap) {
   QueryService backend(TcTree::Build(net), net.dictionary(), options);
   IndexUpdater updater(
       std::move(net), std::move(initial),
-      [&](TcTree tree, const std::vector<ItemId>& roots,
+      [&](std::shared_ptr<const TcTreeSnapshot> snap,
+          const std::vector<ItemId>& roots,
           const std::vector<ItemId>& dirty) {
-        return backend.ApplyUpdatedSnapshot(std::move(tree), roots, dirty);
+        return backend.ApplyUpdatedSnapshot(std::move(snap), roots, dirty);
       });
 
   // A single one-item transaction dirties only the items active at one

@@ -218,7 +218,8 @@ TEST(QueryServiceTest, ShardReloadKeepsOtherShardsCacheEntries) {
   // Reload only shard B (same index content, fresh snapshot).
   HashShardPartitioner partitioner;
   std::vector<TcTree> parts = PartitionTcTree(tree, partitioner, 2);
-  service.SwapShardSnapshot(1, TcTreeSnapshot(std::move(parts[1])));
+  service.SwapShardSnapshot(
+      1, std::make_shared<const TcTreeSnapshot>(std::move(parts[1])));
   EXPECT_EQ(service.cache_stats().invalidations, 1u);
 
   // Shard A's entry survived the foreign reload and still hits; shard

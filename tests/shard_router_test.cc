@@ -306,7 +306,8 @@ TEST(ShardRouterTest, RollingSwapKeepsParityMidRoll) {
   for (size_t s = 0; s < num_shards; ++s) {
     std::vector<TcTree> parts =
         PartitionTcTree(TcTree::Build(net), partitioner, num_shards);
-    sharded.SwapShardSnapshot(s, TcTreeSnapshot(std::move(parts[s])));
+    sharded.SwapShardSnapshot(
+        s, std::make_shared<const TcTreeSnapshot>(std::move(parts[s])));
     Rng rng(7 * (s + 1));
     for (int t = 0; t < 15; ++t) {
       const ServeQuery q = RandomQuery(items, rng);

@@ -3,12 +3,16 @@
 // process, RELOAD must install the mapped file and refuse any other,
 // sharded slice files must reproduce unsharded answers, and the watcher
 // must probe-and-skip torn TCFI writes instead of attempting a load.
+// A server with streaming updates on holds one copy of the index: the
+// updater's baseline is the snapshot being served.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -16,6 +20,7 @@
 
 #include "core/tc_tree.h"
 #include "core/tc_tree_query.h"
+#include "core/tc_tree_update.h"
 #include "core/tcfi_format.h"
 #include "serve/file_watcher.h"
 #include "serve/query_service.h"
@@ -230,6 +235,81 @@ TEST(TcfiServeTest, WatcherSkipsTornTcfiViaHeaderProbe) {
                    QueryTcTree(tree, probe.items, probe.alpha),
                    "after finished write");
   watcher.Stop();
+}
+
+/// Bytes the main arena has handed out, heap chunks and mmapped ones.
+/// Reads 0 without glibc's mallinfo2, and under a sanitizer, whose
+/// allocator glibc does not see.
+size_t AllocatedBytes() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// `tcf serve` with updates on, unsharded: the service maps the index and
+// the updater's baseline is the service's own snapshot. The two hold
+// the same object before and after an UPDATE, and starting the updater
+// allocates next to nothing against materializing the tree.
+TEST(TcfiServeTest, UpdaterSharesTheServedSnapshot) {
+  const auto make_net = [] {
+    return MakeRandomNetwork({.num_vertices = 40,
+                              .edge_prob = 0.3,
+                              .num_items = 10,
+                              .tx_per_vertex = 8,
+                              .seed = 66});
+  };
+  DatabaseNetwork net = make_net();
+  const std::string path = TempPath("tcfi_serve_one_copy.tcfi");
+  ASSERT_TRUE(SaveTcTreeBinary(TcTree::Build(net), path).ok());
+  auto opened = QueryService::Open(path, net.dictionary(), {});
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  QueryService& service = **opened;
+  ASSERT_TRUE(service.snapshot()->mapped());
+
+  size_t materialized = 0;
+  {
+    const size_t before = AllocatedBytes();
+    const TcTree copy = MaterializeTcTree(*service.snapshot()->mapped_tree());
+    materialized = AllocatedBytes() - before;
+    ASSERT_GT(copy.num_nodes(), 0u);
+  }
+
+  const size_t before = AllocatedBytes();
+  IndexUpdater updater(
+      std::move(net), service.snapshot(),
+      [&service](std::shared_ptr<const TcTreeSnapshot> snap,
+                 const std::vector<ItemId>& changed_roots,
+                 const std::vector<ItemId>& dirty_items) {
+        return service.ApplyUpdatedSnapshot(std::move(snap), changed_roots,
+                                            dirty_items);
+      });
+  const size_t started = AllocatedBytes() - before;
+  if (materialized > 0) {  // the allocator reports its footprint
+    EXPECT_LT(started * 20, materialized)
+        << "starting the updater allocated " << started << " bytes; "
+        << "materializing the index allocates " << materialized;
+  }
+  EXPECT_EQ(updater.snapshot().get(), service.snapshot().get());
+
+  NetworkUpdate update;
+  update.transactions.push_back({.vertex = 0, .items = Itemset({0, 1})});
+  update.edges.push_back(MakeEdge(1, 2));
+  DatabaseNetwork oracle_net = make_net();
+  ASSERT_TRUE(oracle_net.AddTransaction(0, Itemset({0, 1})).ok());
+  ASSERT_TRUE(oracle_net.AddEdge(1, 2).ok());
+  ASSERT_TRUE(updater.Apply(std::move(update)).ok());
+  EXPECT_EQ(updater.snapshot().get(), service.snapshot().get());
+  EXPECT_FALSE(service.snapshot()->mapped());
+
+  const TcTree oracle = TcTree::Build(oracle_net);
+  for (const ServeQuery& q : GridQueries()) {
+    ExpectSameAnswer(QueryTcTree(oracle, q.items, q.alpha), *service.Execute(q),
+                     "after update, alpha=" + std::to_string(q.alpha));
+  }
 }
 
 }  // namespace

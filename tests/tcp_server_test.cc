@@ -1438,9 +1438,10 @@ void ExpectGoldenMetricsAndStatsKeys(size_t num_shards) {
   QueryService service(tree, net.dictionary(), {.num_shards = num_shards});
   IndexUpdater updater(
       std::move(net), std::move(tree),
-      [&service](TcTree t, const std::vector<ItemId>& changed_roots,
+      [&service](std::shared_ptr<const TcTreeSnapshot> snap,
+                 const std::vector<ItemId>& changed_roots,
                  const std::vector<ItemId>& dirty_items) {
-        return service.ApplyUpdatedSnapshot(std::move(t), changed_roots,
+        return service.ApplyUpdatedSnapshot(std::move(snap), changed_roots,
                                             dirty_items);
       });
   TcpServerOptions options;
@@ -1501,6 +1502,80 @@ TEST(TcpServerTest, MetricsFamiliesAndStatsKeysMatchGolden) {
   for (size_t num_shards : {size_t{1}, size_t{2}}) {
     ExpectGoldenMetricsAndStatsKeys(num_shards);
   }
+}
+
+// RELOAD, then UPDATE: the updater replays from its own network and the
+// snapshot it last installed, so the UPDATE's result replaces the
+// reloaded index. The answers after the UPDATE are the rebuild oracle's
+// over the updated network, not the reloaded file's.
+TEST(TcpServerTest, UpdateAfterReloadReplacesTheReloadedIndex) {
+  const auto make_net = [] {
+    return MakeRandomNetwork({.num_vertices = 24,
+                              .edge_prob = 0.4,
+                              .num_items = 8,
+                              .tx_per_vertex = 8,
+                              .seed = 12});
+  };
+  DatabaseNetwork net = make_net();
+  const ItemDictionary dictionary = net.dictionary();
+  const TcTree shallow = TcTree::Build(net, {.max_depth = 1});
+  const std::string full_path =
+      ::testing::TempDir() + "/reload_then_update_full.tcfi";
+  const std::string shallow_path =
+      ::testing::TempDir() + "/reload_then_update_shallow.tcfi";
+  ASSERT_TRUE(SaveTcTreeBinary(TcTree::Build(net), full_path).ok());
+  ASSERT_TRUE(SaveTcTreeBinary(shallow, shallow_path).ok());
+
+  auto opened = QueryService::Open(full_path, dictionary, {});
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  QueryService& service = **opened;
+  IndexUpdater updater(
+      std::move(net), service.snapshot(),
+      [&service](std::shared_ptr<const TcTreeSnapshot> snap,
+                 const std::vector<ItemId>& changed_roots,
+                 const std::vector<ItemId>& dirty_items) {
+        return service.ApplyUpdatedSnapshot(std::move(snap), changed_roots,
+                                            dirty_items);
+      });
+  TcpServerOptions options;
+  options.updater = &updater;
+  TcpServer server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+
+  const std::vector<std::string> lines = {"0;i0,i1,i2", "0.05;i1,i2,i3,i4",
+                                          "0;*"};
+  auto expect_answers = [&](const TcTree& tree, const std::string& context) {
+    for (const std::string& line : lines) {
+      auto query = ParseServeQuery(dictionary, line);
+      ASSERT_TRUE(query.ok()) << query.status();
+      auto wire = client->Query(line);
+      ASSERT_TRUE(wire.ok()) << wire.status();
+      ExpectWireMatches(dictionary,
+                        QueryTcTree(tree, query->items, query->alpha), *wire,
+                        context + ": " + line);
+    }
+  };
+
+  auto reloaded = client->Reload(shallow_path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  expect_answers(shallow, "after RELOAD");
+
+  auto updated = client->Update({"tx 0 i0,i1", "edge 1 2"});
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  DatabaseNetwork oracle_net = make_net();
+  ASSERT_TRUE(oracle_net.AddTransaction(0, Itemset({0, 1})).ok());
+  ASSERT_TRUE(oracle_net.AddEdge(1, 2).ok());
+  const TcTree oracle = TcTree::Build(oracle_net);
+  ASSERT_GT(oracle.num_nodes(), shallow.num_nodes());
+  expect_answers(oracle, "after RELOAD then UPDATE");
+  EXPECT_EQ(updater.snapshot().get(), service.snapshot().get());
+
+  EXPECT_TRUE(client->Quit().ok());
+  server.Shutdown();
+  std::remove(full_path.c_str());
+  std::remove(shallow_path.c_str());
 }
 
 }  // namespace

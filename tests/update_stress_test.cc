@@ -111,9 +111,10 @@ void RunStress(size_t num_shards, uint64_t seed, size_t batches) {
 
   IndexUpdater updater(
       std::move(updater_net), std::move(initial),
-      [&](TcTree tree, const std::vector<ItemId>& changed_roots,
+      [&](std::shared_ptr<const TcTreeSnapshot> snap,
+          const std::vector<ItemId>& changed_roots,
           const std::vector<ItemId>& dirty_items) {
-        return backend->ApplyUpdatedSnapshot(std::move(tree), changed_roots,
+        return backend->ApplyUpdatedSnapshot(std::move(snap), changed_roots,
                                              dirty_items);
       });
 

@@ -39,7 +39,8 @@
 #    refused, clean rejection of torn and bit-flipped files,
 #    RELOAD-to-mmap on a live server (torn RELOAD fails the client,
 #    server keeps serving), and `--shards=2` serving straight from the
-#    mapped slice files.
+#    mapped slice files, then taking the update smoke's UPDATE and
+#    answering like its rebuild oracle.
 # 8. Overload smoke: a server armed with the walk.deadline failpoint and
 #    a tight --rate-limit-qps must refuse cleanly over the wire — every
 #    refusal a parseable ERR DeadlineExceeded / ERR RateLimited line,
@@ -538,10 +539,9 @@ echo "OK: RELOAD swapped in the mapped snapshot; torn RELOAD rejected"
 
 # Sliced sharded serving: --shards=2 over the slice files written by
 # `index --slices=2` must map per-shard slices zero-copy and answer
-# like the unsharded mapped index. (--no-update: the streaming updater
-# needs an owned whole-tree baseline, so slices serve read-only.)
+# like the unsharded mapped index.
 "$TCF" serve --in="$TMP/smoke.net" --index="$TMP/smoke.tcfi" --listen=0 \
-       --threads=2 --shards=2 --no-update --compose-min-us=0 \
+       --threads=2 --shards=2 --compose-min-us=0 \
        > "$TMP/server4.log" 2>&1 &
 SERVER_PID=$!
 PORT=""
@@ -562,12 +562,22 @@ grep -q "shard slices" "$TMP/server4.log" || {
 diff "$TMP/r_tcfi.out" "$TMP/r_sliced.out" || {
   echo "FAIL: sliced shards answer differently from the mapped index"
   exit 1; }
+# Updates on the sliced path: the streaming-update smoke's mutation,
+# answered like its from-scratch rebuild oracle.
+"$TCF" client --port="$PORT" --update-tx="0:s1,s2" --update-edge="0-1"
+for q in "0;s1,s2" "0.01;s1" "0.02;s2,s3"; do
+  "$TCF" client --port="$PORT" --query="$q" >> "$TMP/sliced_live.out"
+done
+diff "$TMP/sliced_live.out" "$TMP/oracle.out" || {
+  echo "FAIL: sliced post-update answers diverge from the rebuild oracle"
+  exit 1; }
 kill -TERM "$SERVER_PID" || { echo "FAIL: sliced server died early";
                               cat "$TMP/server4.log"; exit 1; }
 wait "$SERVER_PID" || { echo "FAIL: sliced server exited non-zero";
                         exit 1; }
 SERVER_PID=""
-echo "OK: --shards=2 served zero-copy from the checked slice files"
+echo "OK: --shards=2 served zero-copy from the checked slice files" \
+     "and applied an UPDATE like the rebuild oracle"
 
 echo "== overload smoke =="
 # A server that must refuse: the walk.deadline failpoint expires every

@@ -507,19 +507,18 @@ void ApplyTracingArgs(const Args& args, QueryServiceOptions* options) {
 
 /// Builds the serving backend both serve modes share, over
 /// `options.num_shards` (`--shards`) item-space shards (rolling RELOAD,
-/// per-shard caches; see docs/architecture.md). With --index and no
-/// `baseline` wanted, QueryService::Open maps it: the N per-shard TCFI
-/// slice files `TcfiSlicePath(--index, s, N)` written by `tcf index
-/// --slices=N` when they all exist, else the whole file (served as is
-/// when N = 1). When `baseline` is non-null (the streaming updater
-/// needs an owned whole-tree copy of what is being served) it is
-/// filled and the slice path is skipped, since slices cannot
-/// reconstruct the whole tree. Returns null after printing the error.
-std::unique_ptr<QueryBackend> MakeServeBackend(
+/// per-shard caches; see docs/architecture.md). With --index,
+/// QueryService::Open maps it: the N per-shard TCFI slice files
+/// `TcfiSlicePath(--index, s, N)` written by `tcf index --slices=N` when
+/// they all exist, else the whole file (served as is when N = 1).
+/// Without --index the tree is built in-process. Nothing here copies
+/// the index for the streaming updater: UpdaterBaseline shares what the
+/// backend serves. Returns null after printing the error.
+std::unique_ptr<QueryService> MakeServeBackend(
     const Args& args, const DatabaseNetwork& net,
-    const QueryServiceOptions& options, std::optional<TcTree>* baseline) {
+    const QueryServiceOptions& options) {
   const std::string index_path = args.Get("index", "");
-  if (baseline == nullptr && !index_path.empty()) {
+  if (!index_path.empty()) {
     WallTimer t;
     auto opened = QueryService::Open(index_path, net.dictionary(), options);
     if (!opened.ok()) {
@@ -544,9 +543,22 @@ std::unique_ptr<QueryBackend> MakeServeBackend(
   }
   std::optional<TcTreeSnapshot> snap = LoadOrBuildSnapshot(args, net, "serve");
   if (!snap) return nullptr;
-  if (baseline != nullptr) *baseline = snap->MaterializeTree();
   return std::make_unique<QueryService>(std::move(*snap), net.dictionary(),
                                         options);
+}
+
+/// The streaming updater's baseline. Unsharded, it is the snapshot the
+/// one shard serves — one copy of the index per server. With N >= 2 the
+/// shards hold partitions, so the whole index is loaded once more: the
+/// --index file mapped again (page cache, not heap), or an in-process
+/// rebuild. Returns null after printing the error.
+std::shared_ptr<const TcTreeSnapshot> UpdaterBaseline(
+    const Args& args, const DatabaseNetwork& net,
+    const QueryService& service) {
+  if (service.num_shards() == 1) return service.snapshot();
+  std::optional<TcTreeSnapshot> whole = LoadOrBuildSnapshot(args, net, "serve");
+  if (!whole) return nullptr;
+  return std::make_shared<const TcTreeSnapshot>(std::move(*whole));
 }
 
 /// Dumps the slow-query ring after a serving run (no-op when empty —
@@ -602,15 +614,11 @@ int ServeListen(const Args& args, DatabaseNetwork net,
   ApplyTracingArgs(args, &service_options);
   const size_t shards = std::max<uint64_t>(1, args.GetUint("shards", 1));
   service_options.num_shards = shards;
-  // Streaming updates need an owned copy of the served tree as the
-  // updater's baseline; the backend factory fills it while it still
-  // has the tree in hand.
   const bool allow_update = args.Get("no-update", "") != "true";
-  std::optional<TcTree> updater_tree;
-  std::unique_ptr<QueryBackend> backend = MakeServeBackend(
-      args, net, service_options, allow_update ? &updater_tree : nullptr);
+  std::unique_ptr<QueryService> backend =
+      MakeServeBackend(args, net, service_options);
   if (!backend) return 1;
-  QueryBackend& service = *backend;
+  QueryService& service = *backend;
 
   // The updater owns the authoritative network and sinks every
   // incrementally rebuilt snapshot into the backend's shard-aware
@@ -619,15 +627,19 @@ int ServeListen(const Args& args, DatabaseNetwork net,
   // (declared before) — both reference it.
   std::unique_ptr<IndexUpdater> updater;
   if (allow_update) {
+    std::shared_ptr<const TcTreeSnapshot> baseline =
+        UpdaterBaseline(args, net, service);
+    if (!baseline) return 1;
     TcTreeOptions update_options;
     update_options.num_threads =
         args.GetUint("update-threads", BuildThreadsArg(args));
     update_options.max_nodes = args.GetUint("max-nodes", 2000000);
     updater = std::make_unique<IndexUpdater>(
-        std::move(net), std::move(*updater_tree),
-        [&service](TcTree t, const std::vector<ItemId>& roots,
+        std::move(net), std::move(baseline),
+        [&service](std::shared_ptr<const TcTreeSnapshot> snap,
+                   const std::vector<ItemId>& roots,
                    const std::vector<ItemId>& dirty) {
-          return service.ApplyUpdatedSnapshot(std::move(t), roots, dirty);
+          return service.ApplyUpdatedSnapshot(std::move(snap), roots, dirty);
         },
         update_options);
   }
@@ -752,7 +764,7 @@ int CmdServe(const Args& args) {
   const size_t shards = std::max<uint64_t>(1, args.GetUint("shards", 1));
   service_options.num_shards = shards;
   std::unique_ptr<QueryBackend> backend =
-      MakeServeBackend(args, *net, service_options, nullptr);
+      MakeServeBackend(args, *net, service_options);
   if (!backend) return 1;
   QueryBackend& service = *backend;
   std::printf(
